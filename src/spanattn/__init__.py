@@ -3,7 +3,6 @@
 from .attention import (
     AdditiveMask,
     AttentionParams,
-    block_diagonal_attention,
     full_attention,
     masked_oracle_attention,
     sliding_window_attention,
@@ -22,7 +21,6 @@ __all__ = [
     "SEAttnConfig",
     "Tensor",
     "backward",
-    "block_diagonal_attention",
     "full_attention",
     "masked_oracle_attention",
     "model_forward",

@@ -13,14 +13,13 @@ an exact no-op on the model output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .model import AttentionLayer, HybridModel, SSMLayer
+from .model import SSMLayer, adapter_manifest, attach_adapters, fill_parameters, read_container, write_container
 from .tensor import Tensor
 
 POLICIES = ("lora", "lora_plus", "hylora")
@@ -168,53 +167,16 @@ def conv_parameter_fraction(model):
 
 
 def save_adapter_checkpoint(path, model):
-    entries = []
-    offset = 0
-    buffers = []
-    tag = "<f8" if model.config.np_dtype == np.float64 else "<f4"
-    manifest = []
-    for i, block in model.attention_layers():
-        for target, ad in block.adapters.items():
-            manifest.append({"layer": i, "matrix": target, "rank": ad.rank, "alpha": ad.alpha})
-            for role, t in (("lora_a", ad.a), ("lora_b", ad.b)):
-                raw = np.ascontiguousarray(t.data, dtype=tag).tobytes()
-                entries.append(
-                    {"name": f"blocks.{i}.{target}.{role}", "shape": list(t.shape), "offset": offset, "nbytes": len(raw)}
-                )
-                buffers.append(raw)
-                offset += len(raw)
+    manifest = adapter_manifest(model)
     if not manifest:
         raise UsageError("no adapters attached; nothing to save")
-    header = {"format": "spanattn-adapters", "version": 1, "dtype": tag, "adapters": manifest, "params": entries}
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-        for raw in buffers:
-            f.write(raw)
+    arrays = [(name, t.data) for name, t in model.named_parameters().items() if ".lora_" in name]
+    header = {"format": "spanattn-adapters", "adapters": manifest}
+    write_container(path, header, arrays, model.config.np_dtype)
 
 
 def load_adapter_checkpoint(path, model):
     """Attach (or overwrite) adapters on a base model from an adapter-only file."""
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
-        blob = f.read()
-    if header.get("format") != "spanattn-adapters":
-        raise UsageError(f"{path} is not an adapter checkpoint")
-    dtype = model.config.np_dtype
-    by_layer = {}
-    for entry in header["adapters"]:
-        block = model.blocks[entry["layer"]]
-        if not isinstance(block, AttentionLayer):
-            raise UsageError(f"layer {entry['layer']} is not an attention layer")
-        w = block.params.matrices()[entry["matrix"]]
-        ad = LoRAAdapter.fresh(
-            d_in=w.shape[0], d_out=w.shape[1], rank=entry["rank"], alpha=entry["alpha"], target=entry["matrix"], dtype=dtype
-        )
-        block.adapters[entry["matrix"]] = ad
-        by_layer[(entry["layer"], entry["matrix"])] = ad
-    for entry in header["params"]:
-        _, layer_str, matrix, role = entry["name"].split(".")
-        ad = by_layer[(int(layer_str), matrix)]
-        arr = np.frombuffer(blob, dtype=header["dtype"], count=int(np.prod(entry["shape"])), offset=entry["offset"])
-        tensor = ad.a if role == "lora_a" else ad.b
-        tensor.data = arr.reshape(entry["shape"]).astype(dtype).copy()
+    header, arrays = read_container(path, "spanattn-adapters", required=("adapters",))
+    fill_parameters(path, attach_adapters(path, model, header["adapters"]), arrays)
     return model

@@ -1,14 +1,15 @@
-"""Baseline attention variants and the dense masked oracle.
+"""The chunked attention core, the full and sliding-window variants built on
+it, and the dense masked oracle.
 
 The oracle computes attention under an arbitrary {0, -inf} additive mask by
 materializing the full L x L score matrix. It is O(L^2) on purpose: every
-sparse variant in this package is checked against it.
+production variant in this package is checked against it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,11 +152,44 @@ def multi_head_attention(q, k, v, bias, p):
     return merged
 
 
+def chunked_attention(q, k, v, p, chunk, earlier=None, window=None):
+    """Causal attention of projected Q/K/V, one chunk of queries at a time.
+
+    Chunk i covers queries [i*chunk, min((i+1)*chunk, L)) and attends to the
+    key ranges ``earlier[i]`` (strictly before the chunk, ascending), then to
+    its own keys. Key s is visible to query t iff s <= t and, given a window,
+    t - s < window. Each chunk's bias is built in the model dtype over just
+    the keys it gathers. Returns the output projection of the merged heads.
+    """
+    n = q.shape[0]
+    outs = []
+    for i, start in enumerate(range(0, n, chunk)):
+        stop = min(start + chunk, n)
+        spans = [(lo, hi) for lo, hi in [*(earlier[i] if earlier else ()), (start, stop)] if lo < hi]
+        keys = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+        queries = np.arange(start, stop)[:, None]
+        bias = np.zeros((stop - start, keys.size), dtype=q.dtype)
+        bias[keys > queries] = NEG_INF
+        if window is not None:
+            bias[keys <= queries - window] = NEG_INF
+        kc = concat([_rows(k, lo, hi) for lo, hi in spans]) if len(spans) > 1 else _rows(k, *spans[0])
+        vc = concat([_rows(v, lo, hi) for lo, hi in spans]) if len(spans) > 1 else _rows(v, *spans[0])
+        outs.append(multi_head_attention(_rows(q, start, stop), kc, vc, bias, p))
+    merged = outs[0] if len(outs) == 1 else concat(outs, axis=0)
+    return matmul(merged, p.w_o)
+
+
+def _rows(t, lo, hi):
+    """Rows [lo, hi) of a sequence tensor; the tensor itself when that is all of it."""
+    return t if lo == 0 and hi == t.shape[0] else narrow(t, 0, lo, hi)
+
+
 def full_attention(x, p, causal=True):
-    """Exact dense softmax attention over the whole sequence."""
+    """Exact dense softmax attention over the whole sequence: one chunk of length L."""
     q, k, v = project_qkv(x, p)
-    bias = AdditiveMask.causal(x.shape[0], dtype=x.dtype).bias if causal else None
-    return matmul(multi_head_attention(q, k, v, bias, p), p.w_o)
+    if not causal:
+        return matmul(multi_head_attention(q, k, v, None, p), p.w_o)
+    return chunked_attention(q, k, v, p, x.shape[0])
 
 
 def masked_oracle_attention(x, p, mask):
@@ -170,27 +204,13 @@ def masked_oracle_attention(x, p, mask):
 
 
 def sliding_window_attention(x, p, window):
-    """Causal attention where query t sees keys max(0, t-window+1)..t."""
-    mask = AdditiveMask.sliding_window(x.shape[0], window, dtype=x.dtype)
-    q, k, v = project_qkv(x, p)
-    return matmul(multi_head_attention(q, k, v, mask.bias, p), p.w_o)
+    """Causal attention where query t sees keys max(0, t-window+1)..t.
 
-
-def block_diagonal_attention(x, p, chunk):
-    """Causal attention computed independently inside each chunk (no memory).
-
-    The final chunk may be shorter when the chunk size does not divide L;
-    no padding tokens ever enter a softmax.
+    Chunks of ``window`` queries each gather the window-1 keys before them,
+    so scores and biases grow as L*window rather than L^2.
     """
-    n = x.shape[0]
+    if window < 1:
+        raise ConfigError("window must be >= 1")
     q, k, v = project_qkv(x, p)
-    outs = []
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        qc = narrow(q, 0, start, stop)
-        kc = narrow(k, 0, start, stop)
-        vc = narrow(v, 0, start, stop)
-        bias = AdditiveMask.causal(stop - start, dtype=x.dtype).bias
-        outs.append(multi_head_attention(qc, kc, vc, bias, p))
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=0)
-    return matmul(merged, p.w_o)
+    earlier = [[(max(0, start - window + 1), start)] for start in range(0, x.shape[0], window)]
+    return chunked_attention(q, k, v, p, window, earlier, window=window)

@@ -6,8 +6,9 @@ deterministic manifest under the output directory. Wall-clock figures
 (tokens/s, run duration) go to separate metadata files so re-running a
 command overwrites the real artifacts bit-identically.
 
-Exit codes: 0 ok, 1 invalid config/usage, 2 missing artifact, 3 numeric
-failure (NaN/Inf detected). SPANATTN_SEED overrides the config seed.
+Exit codes: 0 ok, 1 invalid config/usage or corrupt checkpoint, 2 missing
+artifact, 3 numeric failure (NaN/Inf detected). SPANATTN_SEED overrides
+the config seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import os
 import sys
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +121,7 @@ def cmd_train(cfg, out_dir):
         log_rows.append((step, loss, cfg.adaptation.lr))
         timing_rows.append((step, tokens / dt))
         if step % cfg.train.log_every == 0:
-            print(f"step {step}: loss {loss:.4f}")
+            print(f"step {step}: loss {loss:.4f}", file=sys.stderr)
 
     if policy is not None:
         merge_adapters(model)
@@ -157,7 +157,7 @@ def _eval_one_instance(model, setting, task, length, index, cfg):
     return score_recall(decode(generated), inst)
 
 
-def cmd_eval(cfg, out_dir, checkpoint, eval_attn, threads):
+def cmd_eval(cfg, out_dir, checkpoint, eval_attn):
     ckpt_path = Path(checkpoint) if checkpoint else Path(cfg.paths.checkpoint)
     if not ckpt_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt_path}")
@@ -182,14 +182,7 @@ def cmd_eval(cfg, out_dir, checkpoint, eval_attn, threads):
                 value = perplexity(model, stream, length, setting)
                 rows.append((task, length, "ppl", value))
             else:
-                indexes = range(cfg.eval.n_instances)
-                if threads > 1:
-                    with ThreadPoolExecutor(max_workers=threads) as pool:
-                        recalls = list(
-                            pool.map(lambda i: _eval_one_instance(model, setting, task, length, i, cfg), indexes)
-                        )
-                else:
-                    recalls = [_eval_one_instance(model, setting, task, length, i, cfg) for i in indexes]
+                recalls = [_eval_one_instance(model, setting, task, length, i, cfg) for i in range(cfg.eval.n_instances)]
                 rows.append((task, length, "recall", float(np.mean(recalls))))
             probe = generate_task(task if task != "ppl" else "niah_single_1", length if task != "ppl" else max(length, 128),
                                   seed=_instance_seed(cfg.seed, 13, task, length))
@@ -311,7 +304,6 @@ def build_parser():
         default="full",
         help="attention used at evaluation: full (default) or the training variant",
     )
-    p_eval.add_argument("--threads", type=int, default=1, help="fan out instances across threads")
 
     p_gen = sub.add_parser("gen", help="generate task instances as JSON lines")
     common(p_gen)
@@ -344,7 +336,7 @@ def main(argv=None):
         if args.command == "train":
             code = cmd_train(cfg, out_dir)
         elif args.command == "eval":
-            code = cmd_eval(cfg, out_dir, args.checkpoint, args.eval_attn, args.threads)
+            code = cmd_eval(cfg, out_dir, args.checkpoint, args.eval_attn)
         elif args.command == "gen":
             code = cmd_gen(cfg, out_dir)
         elif args.command == "bench":

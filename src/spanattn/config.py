@@ -43,7 +43,6 @@ class AttentionSection:
     block_size: int = 8
     top_k: int = 2
     window: int = 64
-    relevancy_per_head: bool = False
 
 
 @dataclass
@@ -129,7 +128,6 @@ class ExperimentConfig:
             top_k=self.attention.top_k,
             variant=se_variant,
             seed=self.seed,
-            relevancy_per_head=self.attention.relevancy_per_head,
         )
 
     def attention_setting(self, variant_name=None):
@@ -211,7 +209,6 @@ SCHEMA = {
     "attention.block_size": int,
     "attention.top_k": int,
     "attention.window": int,
-    "attention.relevancy_per_head": _parse_bool,
     "adaptation.policy": _choice(POLICY_NAMES),
     "adaptation.rank": int,
     "adaptation.alpha": float,

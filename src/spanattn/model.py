@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .attention import AttentionParams, full_attention, sliding_window_attention
-from .errors import ConfigError, InputError, UsageError
+from .errors import ConfigError, InputError
 from .ops import causal_conv1d, cross_entropy_logits, embedding_lookup, linear_recurrence, rms_norm, sigmoid
 from .se_attn import SEAttnConfig, se_attn_forward
 from .tensor import Tensor, backward, concat, matmul, narrow, scale, transpose
@@ -344,8 +344,106 @@ def greedy_generate(model, prompt_tokens, setting, max_new_tokens, stop_id=None,
 # checkpoint container: one JSON header line, then raw little-endian buffers
 
 
-def _dtype_tag(np_dtype):
-    return "<f8" if np_dtype == np.float64 else "<f4"
+def write_container(path, header, arrays, np_dtype):
+    """Write ``header`` plus version, dtype tag and ``params`` manifest, then each (name, array) buffer."""
+    header = {**header, "version": 1, "dtype": "<f8" if np_dtype == np.float64 else "<f4"}
+    entries, buffers, offset = [], [], 0
+    for name, data in arrays:
+        raw = np.ascontiguousarray(data, dtype=header["dtype"]).tobytes()
+        entries.append({"name": name, "shape": list(data.shape), "offset": offset, "nbytes": len(raw)})
+        buffers.append(raw)
+        offset += len(raw)
+    with open(path, "wb") as f:
+        f.write(json.dumps({**header, "params": entries}, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        for raw in buffers:
+            f.write(raw)
+
+
+def read_container(path, fmt, required=()):
+    """Validated header and named arrays of a container written by ``write_container``.
+
+    Checks the JSON header, the format tag and version, the dtype tag, the
+    ``required`` keys, and that every buffer lies inside the file with
+    nbytes = shape x itemsize. Raises ``InputError`` naming the file and field.
+    """
+    with open(path, "rb") as f:
+        line = f.readline()
+        blob = f.read()
+
+    def bad(field, why):
+        return InputError(f"{path}: {field}: {why}")
+
+    try:
+        header = json.loads(line)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise bad("header", f"not a JSON header line ({exc})") from None
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise bad("format", f"not a {fmt} file")
+    for key in ("version", "dtype", "params", *required):
+        if key not in header:
+            raise bad(key, "missing from the header")
+    if header["version"] != 1:
+        raise bad("version", f"unsupported version {header['version']!r}")
+    if header["dtype"] not in ("<f4", "<f8"):
+        raise bad("dtype", f"{header['dtype']!r} is not <f4 or <f8")
+    if not isinstance(header["params"], list):
+        raise bad("params", "not a list")
+    itemsize = np.dtype(header["dtype"]).itemsize
+    arrays = {}
+    for i, entry in enumerate(header["params"]):
+        try:
+            name, offset, nbytes = str(entry["name"]), int(entry["offset"]), int(entry["nbytes"])
+            shape = tuple(int(n) for n in entry["shape"])
+        except (KeyError, TypeError, ValueError):
+            raise bad(f"params[{i}]", "needs a name, a shape, an offset and nbytes") from None
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or nbytes != count * itemsize:
+            raise bad(f"params[{i}].nbytes", f"{nbytes} does not match shape {list(shape)} of {header['dtype']}")
+        if offset < 0 or offset + nbytes > len(blob):
+            raise bad(f"params[{i}].offset", f"{offset} + {nbytes} bytes lies outside the {len(blob)} data bytes")
+        arrays[name] = np.frombuffer(blob, dtype=header["dtype"], count=count, offset=offset).reshape(shape)
+    return header, arrays
+
+
+def fill_parameters(path, tensors, arrays):
+    """Copy each named array into its tensor; names and shapes must match exactly."""
+    unknown = sorted(arrays.keys() - tensors.keys())
+    if unknown:
+        raise InputError(f"{path}: params: {unknown[0]} is not a parameter of the model")
+    for name, t in tensors.items():
+        if name not in arrays:
+            raise InputError(f"{path}: params: no entry for {name}")
+        if arrays[name].shape != t.shape:
+            raise InputError(f"{path}: params: {name} has shape {list(arrays[name].shape)}, expected {list(t.shape)}")
+        t.data = arrays[name].astype(t.dtype)
+
+
+def attach_adapters(path, model, manifest):
+    """Attach fresh adapters where a checkpoint manifest names them; returns their tensors by name."""
+    from .adaptation import LoRAAdapter  # deferred: adaptation builds on this module
+
+    if not isinstance(manifest, list):
+        raise InputError(f"{path}: adapters: not a list")
+    tensors = {}
+    for i, entry in enumerate(manifest):
+        try:
+            layer, matrix = int(entry["layer"]), str(entry["matrix"])
+            rank, alpha = int(entry["rank"]), float(entry["alpha"])
+        except (KeyError, TypeError, ValueError):
+            raise InputError(f"{path}: adapters[{i}]: needs a layer, a matrix, a rank and an alpha") from None
+        if not (0 <= layer < len(model.blocks) and isinstance(model.blocks[layer], AttentionLayer)):
+            raise InputError(f"{path}: adapters[{i}].layer: {layer} is not an attention layer of the model")
+        block = model.blocks[layer]
+        w = block.params.matrices().get(matrix)
+        if w is None:
+            raise InputError(f"{path}: adapters[{i}].matrix: {matrix!r} is not an attention matrix")
+        ad = LoRAAdapter.fresh(
+            d_in=w.shape[0], d_out=w.shape[1], rank=rank, alpha=alpha, target=matrix, dtype=model.config.np_dtype
+        )
+        block.adapters[matrix] = ad
+        tensors[f"blocks.{layer}.{matrix}.lora_a"] = ad.a
+        tensors[f"blocks.{layer}.{matrix}.lora_b"] = ad.b
+    return tensors
 
 
 def adapter_manifest(model):
@@ -357,60 +455,24 @@ def adapter_manifest(model):
 
 
 def save_checkpoint(path, model, extra=None):
-    params = model.named_parameters()
-    tag = _dtype_tag(model.config.np_dtype)
-    manifest = []
-    offset = 0
-    buffers = []
-    for name, p in params.items():
-        raw = np.ascontiguousarray(p.data, dtype=tag).tobytes()
-        manifest.append({"name": name, "shape": list(p.shape), "offset": offset, "nbytes": len(raw)})
-        buffers.append(raw)
-        offset += len(raw)
     header = {
         "format": "spanattn-checkpoint",
-        "version": 1,
-        "dtype": tag,
         "model": asdict(model.config),
         "adapters": adapter_manifest(model),
-        "params": manifest,
     }
     if extra:
         header["extra"] = extra
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-        for raw in buffers:
-            f.write(raw)
+    arrays = [(name, p.data) for name, p in model.named_parameters().items()]
+    write_container(path, header, arrays, model.config.np_dtype)
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
-        blob = f.read()
-    if header.get("format") != "spanattn-checkpoint":
-        raise UsageError(f"{path} is not a model checkpoint")
-    cfg = ModelConfig(**header["model"])
+    header, arrays = read_container(path, "spanattn-checkpoint", required=("model", "adapters"))
+    try:
+        cfg = ModelConfig(**header["model"])
+    except (TypeError, ConfigError) as exc:
+        raise InputError(f"{path}: model: {exc}") from None
     model = HybridModel(cfg)
-    if header.get("adapters"):
-        from .adaptation import LoRAAdapter  # deferred: adaptation builds on this module
-
-        for entry in header["adapters"]:
-            block = model.blocks[entry["layer"]]
-            w = block.params.matrices()[entry["matrix"]]
-            block.adapters[entry["matrix"]] = LoRAAdapter.fresh(
-                d_in=w.shape[0],
-                d_out=w.shape[1],
-                rank=entry["rank"],
-                alpha=entry["alpha"],
-                target=entry["matrix"],
-                seed=0,
-                dtype=cfg.np_dtype,
-            )
-    params = model.named_parameters()
-    for entry in header["params"]:
-        name = entry["name"]
-        if name not in params:
-            raise UsageError(f"checkpoint parameter {name} not present in the rebuilt model")
-        arr = np.frombuffer(blob, dtype=header["dtype"], count=int(np.prod(entry["shape"])), offset=entry["offset"])
-        params[name].data = arr.reshape(entry["shape"]).astype(cfg.np_dtype).copy()
+    attach_adapters(path, model, header["adapters"])
+    fill_parameters(path, model.named_parameters(), arrays)
     return model, header

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AdditiveMask, AttentionParams, multi_head_attention, project_qkv
+from .attention import AdditiveMask, chunked_attention, project_qkv
 from .errors import ConfigError, InvariantError, UsageError
-from .tensor import Tensor, concat, matmul, narrow
 
 VARIANTS = ("standard", "nomem", "random", "landmark")
 
@@ -33,7 +32,6 @@ class SEAttnConfig:
     top_k: int = 2
     variant: str = "standard"
     seed: int = 0
-    relevancy_per_head: bool = False
     landmark_seed: int = 1234
 
     def __post_init__(self):
@@ -200,7 +198,7 @@ def landmark_vector(d_model, seed, dtype=np.float64):
     return (rng.standard_normal(d_model) / math.sqrt(d_model)).astype(dtype)
 
 
-def relevancy_scores(q_chunk, summaries, retrievable, d_model, head_count=1, per_head=False):
+def relevancy_scores(q_chunk, summaries, retrievable, d_model):
     """Masked-softmax relevancy of each memory block to one chunk.
 
     Scores are the chunk's summed query rows dotted with each block summary,
@@ -214,19 +212,9 @@ def relevancy_scores(q_chunk, summaries, retrievable, d_model, head_count=1, per
     if not retrievable.any():
         return np.zeros(n_blocks, dtype=np.float64), True
     bias = np.where(retrievable, 0.0, NEG_INF)
-    q_sum = q_chunk.sum(axis=0)
-    if not per_head:
-        raw = summaries @ q_sum
-        probs = _softmax_rows(((raw + bias) / math.sqrt(d_model))[None, :])[0]
-        return probs, False
-    # variant: score each head separately, then average the per-head softmaxes
-    dh = d_model // head_count
-    per = np.zeros(n_blocks, dtype=np.float64)
-    for h in range(head_count):
-        lo, hi = h * dh, (h + 1) * dh
-        raw = summaries[:, lo:hi] @ q_sum[lo:hi]
-        per += _softmax_rows(((raw + bias) / math.sqrt(dh))[None, :])[0]
-    return per / head_count, False
+    raw = summaries @ q_chunk.sum(axis=0)
+    probs = _softmax_rows(((raw + bias) / math.sqrt(d_model))[None, :])[0]
+    return probs, False
 
 
 def select_top_k(scores, retrievable, k, variant="standard", rng=None):
@@ -252,22 +240,13 @@ def select_top_k(scores, retrievable, k, variant="standard", rng=None):
     return sorted(int(past[i]) for i in order[:take])
 
 
-def _chunk_bias(n_retrieved, m, dtype):
-    """Additive bias for one chunk: retrieved tokens fully visible, chunk
-    tokens causal."""
-    bias = np.zeros((m, n_retrieved + m), dtype=dtype)
-    local = bias[:, n_retrieved:]
-    local[np.triu_indices(m, 1)] = NEG_INF
-    return bias
-
-
 def se_attn_forward(x, p, cfg, rng=None):
     """Span-expanded attention over a full sequence.
 
     Draws one chunk size from ``cfg.chunk_sizes``, retrieves up to top-k
     strictly-past memory blocks per chunk, and attends each chunk causally
-    over [retrieved blocks ascending, chunk]. Returns the projected output
-    and the retrieval trace.
+    over [retrieved blocks ascending, chunk] through ``chunked_attention``.
+    Returns the projected output and the retrieval trace.
     """
     n = x.shape[0]
     if n < 1:
@@ -300,7 +279,6 @@ def se_attn_forward(x, p, cfg, rng=None):
         block_ranges=[(b.start, b.stop) for b in blocks],
     )
 
-    outs = []
     for i, start in enumerate(range(0, n, chunk_size)):
         stop = min(start + chunk_size, n)
         retrievable = block_ends <= start
@@ -308,30 +286,14 @@ def se_attn_forward(x, p, cfg, rng=None):
             scores, no_past = np.zeros(len(blocks)), not retrievable.any()
             selected = []
         else:
-            scores, no_past = relevancy_scores(
-                q.data[start:stop],
-                summaries,
-                retrievable,
-                p.d_model,
-                head_count=p.head_count,
-                per_head=cfg.relevancy_per_head,
-            )
+            scores, no_past = relevancy_scores(q.data[start:stop], summaries, retrievable, p.d_model)
             selected = select_top_k(scores, retrievable, cfg.top_k, cfg.variant, rng)
         trace.chunks.append(
             ChunkTrace(index=i, start=start, stop=stop, scores=scores, selected=selected, no_past=no_past)
         )
 
-        qc = narrow(q, 0, start, stop)
-        k_parts = [narrow(k, 0, blocks[j].start, blocks[j].stop) for j in selected]
-        v_parts = [narrow(v, 0, blocks[j].start, blocks[j].stop) for j in selected]
-        k_cat = concat(k_parts + [narrow(k, 0, start, stop)], axis=0) if k_parts else narrow(k, 0, start, stop)
-        v_cat = concat(v_parts + [narrow(v, 0, start, stop)], axis=0) if v_parts else narrow(v, 0, start, stop)
-        n_retrieved = sum(blocks[j].size for j in selected)
-        bias = _chunk_bias(n_retrieved, stop - start, x.dtype)
-        outs.append(multi_head_attention(qc, k_cat, v_cat, bias, p))
-
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=0)
-    return matmul(merged, p.w_o), trace
+    earlier = [[trace.block_ranges[j] for j in c.selected] for c in trace.chunks]
+    return chunked_attention(q, k, v, p, chunk_size, earlier), trace
 
 
 def trace_pattern(trace):

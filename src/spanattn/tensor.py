@@ -28,7 +28,7 @@ def _as_array(data, dtype=None):
 
 
 def _check_finite(data, op):
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by {op}")
 
 

@@ -16,7 +16,6 @@ from scipy import stats
 from spanattn.attention import (
     AdditiveMask,
     AttentionParams,
-    block_diagonal_attention,
     full_attention,
     masked_oracle_attention,
     sliding_window_attention,
@@ -88,7 +87,8 @@ def test_criterion_2_degenerate_equivalences():
         worst["single_chunk"] = max(worst["single_chunk"], float(np.max(np.abs(out.data - full_attention(x, p).data))))
 
         out, _ = se_attn_forward(x, p, SEAttnConfig(chunk_sizes=(8,), memory_block_size=4, top_k=0, seed=seed))
-        worst["k_zero"] = max(worst["k_zero"], float(np.max(np.abs(out.data - block_diagonal_attention(x, p, 8).data))))
+        nomem = masked_oracle_attention(x, p, AdditiveMask.block_diagonal_causal(32, 8, dtype=np.float64))
+        worst["k_zero"] = max(worst["k_zero"], float(np.max(np.abs(out.data - nomem.data))))
 
         sw = sliding_window_attention(x, p, window=32 + seed % 5)
         worst["window_sat"] = max(worst["window_sat"], float(np.max(np.abs(sw.data - full_attention(x, p).data))))
@@ -117,7 +117,8 @@ def test_criterion_3_causality_suite():
         for fn in (
             lambda v: full_attention(Tensor(v), p, causal=True).data,
             lambda v: sliding_window_attention(Tensor(v), p, window=7).data,
-            lambda v: block_diagonal_attention(Tensor(v), p, chunk=12).data,
+            lambda v: se_attn_forward(Tensor(v), p, SEAttnConfig(chunk_sizes=(12,), memory_block_size=4,
+                                                                 variant="nomem", seed=seed))[0].data,
         ):
             assert (fn(bumped)[:t] == fn(x_data)[:t]).all(), f"token causality seed {seed}"
 

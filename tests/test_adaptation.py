@@ -1,5 +1,7 @@
 """Adapter policies: trainable-set algebra, no-op initialization, merge equivalence, counts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from spanattn.adaptation import (
     merge_adapters,
     save_adapter_checkpoint,
 )
-from spanattn.errors import ConfigError, UsageError
+from spanattn.errors import ConfigError, InputError, UsageError
 from spanattn.model import AdamW, AttentionSetting, HybridModel, ModelConfig, model_forward, train_step
 
 
@@ -188,6 +190,16 @@ def test_adapter_checkpoint_round_trip(tmp_path):
         model_forward(fresh, tokens, full_setting()).data,
         atol=1e-6,
     )
+
+
+def test_adapter_checkpoint_rejects_a_truncated_file(tmp_path):
+    model = make_model()
+    apply_policy(model, AdapterPolicy(policy="lora", rank=4))
+    path = tmp_path / "adapters.ckpt"
+    save_adapter_checkpoint(path, model)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(InputError, match=re.escape(str(path)) + r": params\[\d+\]\.offset"):
+        load_adapter_checkpoint(path, make_model())
 
 
 def test_adapter_checkpoint_requires_adapters(tmp_path):

@@ -7,12 +7,12 @@ from helpers import naive_masked_attention
 from spanattn.attention import (
     AdditiveMask,
     AttentionParams,
-    block_diagonal_attention,
     full_attention,
     masked_oracle_attention,
     sliding_window_attention,
 )
 from spanattn.errors import ConfigError, UsageError
+from spanattn.se_attn import SEAttnConfig, se_attn_forward
 from spanattn.tensor import Tensor
 
 
@@ -23,6 +23,11 @@ def make_params(d=4, d_model=8, heads=1, seed=0, **kw):
 def make_x(length, d=4, seed=0):
     rng = np.random.default_rng(seed + 1000)
     return Tensor(rng.standard_normal((length, d)))
+
+
+def nomem_attention(x, p, chunk):
+    """Causal attention inside each chunk with no memory: SE-Attn's nomem variant."""
+    return se_attn_forward(x, p, SEAttnConfig(chunk_sizes=(chunk,), memory_block_size=1, variant="nomem"))[0]
 
 
 def test_single_token_output_is_value_row():
@@ -78,13 +83,16 @@ def test_window_one_attends_only_self():
     out = sliding_window_attention(x, p, window=1)
     expected = (x.data @ p.w_v.data) @ p.w_o.data
     np.testing.assert_allclose(out.data, expected, atol=1e-10)
+    with pytest.raises(ConfigError):
+        sliding_window_attention(x, p, window=0)
 
 
-def test_sliding_window_matches_oracle_mask():
+@pytest.mark.parametrize("length, window", [(16, 4), (13, 5), (7, 1), (9, 9)])
+def test_sliding_window_matches_oracle_mask(length, window):
     p = make_params(heads=2, seed=3)
-    x = make_x(16, seed=3)
-    got = sliding_window_attention(x, p, window=4)
-    want = masked_oracle_attention(x, p, AdditiveMask.sliding_window(16, 4, dtype=np.float64))
+    x = make_x(length, seed=3)
+    got = sliding_window_attention(x, p, window=window)
+    want = masked_oracle_attention(x, p, AdditiveMask.sliding_window(length, window, dtype=np.float64))
     np.testing.assert_allclose(got.data, want.data, atol=1e-6)
 
 
@@ -92,7 +100,7 @@ def test_block_diagonal_saturates_to_full():
     p = make_params(heads=2)
     x = make_x(12)
     np.testing.assert_allclose(
-        block_diagonal_attention(x, p, chunk=12).data,
+        nomem_attention(x, p, chunk=12).data,
         full_attention(x, p, causal=True).data,
         atol=1e-6,
     )
@@ -101,7 +109,7 @@ def test_block_diagonal_saturates_to_full():
 def test_block_diagonal_chunk_one_attends_only_self():
     p = make_params()
     x = make_x(5)
-    out = block_diagonal_attention(x, p, chunk=1)
+    out = nomem_attention(x, p, chunk=1)
     expected = (x.data @ p.w_v.data) @ p.w_o.data
     np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
@@ -109,7 +117,7 @@ def test_block_diagonal_chunk_one_attends_only_self():
 def test_block_diagonal_matches_oracle_mask():
     p = make_params(heads=4, seed=5)
     x = make_x(32, seed=5)
-    got = block_diagonal_attention(x, p, chunk=8)
+    got = nomem_attention(x, p, chunk=8)
     want = masked_oracle_attention(x, p, AdditiveMask.block_diagonal_causal(32, 8, dtype=np.float64))
     np.testing.assert_allclose(got.data, want.data, atol=1e-6)
 
@@ -117,7 +125,7 @@ def test_block_diagonal_matches_oracle_mask():
 def test_block_diagonal_handles_ragged_tail():
     p = make_params(heads=2, seed=6)
     x = make_x(13, seed=6)
-    got = block_diagonal_attention(x, p, chunk=5)
+    got = nomem_attention(x, p, chunk=5)
     bias = np.full((13, 13), -np.inf)
     for start in range(0, 13, 5):
         stop = min(start + 5, 13)
@@ -178,7 +186,7 @@ def test_token_granularity_causality(variant):
             return full_attention(x, p, causal=True).data
         if variant == "sw":
             return sliding_window_attention(x, p, window=5).data
-        return block_diagonal_attention(x, p, chunk=4).data
+        return nomem_attention(x, p, chunk=4).data
 
     base = run(x_data)
     for t in (2, 7, 13):
@@ -193,7 +201,7 @@ def test_degenerate_variants_agree_pairwise():
         x = make_x(11, seed=seed + 20)
         a = full_attention(x, p, causal=True).data
         b = sliding_window_attention(x, p, window=11).data
-        c = block_diagonal_attention(x, p, chunk=11).data
+        c = nomem_attention(x, p, chunk=11).data
         np.testing.assert_allclose(a, b, atol=1e-6)
         np.testing.assert_allclose(a, c, atol=1e-6)
         np.testing.assert_allclose(b, c, atol=1e-6)

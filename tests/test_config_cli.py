@@ -99,10 +99,12 @@ def write_config(tmp_path, text=TINY_TRAIN):
 
 
 class TestCLITrain:
-    def test_train_writes_checkpoint_log_and_manifest(self, tmp_path):
+    def test_train_writes_checkpoint_log_and_manifest(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["train", str(cfg), "--out", str(out)]) == 0
+        logged = capsys.readouterr()
+        assert logged.out == "" and logged.err.startswith("step 0: loss ")
         assert (out / "checkpoint.bin").exists()
         assert (out / "train_log.csv").read_text().splitlines()[0] == "step,loss,lr"
         manifest = json.loads((out / "manifest.json").read_text())
@@ -207,12 +209,31 @@ class TestCLIEvalGenBenchTrace:
         lines = (out / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2
 
-    def test_eval_threads_match_single_threaded_results(self, trained):
-        cfg, ckpt, tmp_path = trained
-        out1, out2 = tmp_path / "eval_t1", tmp_path / "eval_t2"
-        assert main(["eval", str(cfg), "--out", str(out1), "--checkpoint", str(ckpt)]) == 0
-        assert main(["eval", str(cfg), "--out", str(out2), "--checkpoint", str(ckpt), "--threads", "2"]) == 0
-        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+    @pytest.mark.parametrize(
+        "corrupt, field",
+        [
+            (lambda header, blob: (header, blob[: len(blob) // 2]), "params["),
+            (lambda header, blob: (b"\x00garbage{", blob), "header"),
+            (lambda header, blob: (header.replace(b'"nbytes":', b'"n_bytes":', 1), blob), "params[0]"),
+            (lambda header, blob: (header.replace(b'"layer":1', b'"layer":0', 1), blob), "adapters[0].layer"),
+        ],
+        ids=["truncated", "garbage_header", "missing_key", "bad_layer"],
+    )
+    def test_eval_rejects_a_corrupt_checkpoint(self, tmp_path, capsys, corrupt, field):
+        from spanattn.adaptation import AdapterPolicy, apply_policy
+        from spanattn.model import HybridModel, save_checkpoint
+
+        cfg = write_config(tmp_path)
+        model = HybridModel(parse_config_text(TINY_TRAIN).model_config())
+        apply_policy(model, AdapterPolicy("lora", rank=2))
+        ckpt = tmp_path / "corrupt.bin"
+        save_checkpoint(ckpt, model)
+        header, _, blob = ckpt.read_bytes().partition(b"\n")
+        header, blob = corrupt(header, blob)
+        ckpt.write_bytes(header + b"\n" + blob)
+        assert main(["eval", str(cfg), "--out", str(tmp_path / "eval_bad"), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: {field}") and "Traceback" not in err
 
     def test_gen_writes_instance_lines(self, tmp_path):
         cfg = write_config(tmp_path)

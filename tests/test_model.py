@@ -250,6 +250,8 @@ class TestCheckpoints:
         save_checkpoint(path, model, extra={"note": "test"})
         loaded, header = load_checkpoint(path)
         assert header["extra"]["note"] == "test"
+        save_checkpoint(tmp_path / "again.ckpt", loaded, extra={"note": "test"})
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
         for k, p in model.named_parameters().items():
             np.testing.assert_array_equal(p.data, loaded.named_parameters()[k].data)
         tokens = np.arange(10) % 32
