@@ -122,13 +122,14 @@ class AdditiveMask:
         return cls(bias)
 
 
-def project_qkv(x, p):
-    """Project the input and rotate queries/keys at their absolute positions."""
+def project_qkv(x, p, start=0):
+    """Project the input and rotate queries/keys at their absolute positions,
+    the first row sitting at position ``start``."""
     q = matmul(x, p.w_q)
     k = matmul(x, p.w_k)
     v = matmul(x, p.w_v)
     if p.use_rope:
-        positions = np.arange(x.shape[0], dtype=np.float64)
+        positions = np.arange(start, start + x.shape[0], dtype=np.float64)
         q = rope_embed(q, positions, base=p.rope_base, pos_scale=p.rope_pos_scale)
         k = rope_embed(k, positions, base=p.rope_base, pos_scale=p.rope_pos_scale)
     return q, k, v
@@ -153,28 +154,35 @@ def multi_head_attention(q, k, v, bias, p):
 
 
 def chunked_attention(q, k, v, p, chunk, earlier=None, window=None):
-    """Causal attention of projected Q/K/V, one chunk of queries at a time.
+    """Causal attention of projected Q/K/V, one chunk of keys at a time.
 
-    Chunk i covers queries [i*chunk, min((i+1)*chunk, L)) and attends to the
-    key ranges ``earlier[i]`` (strictly before the chunk, ascending), then to
-    its own keys. Key s is visible to query t iff s <= t and, given a window,
-    t - s < window. Each chunk's bias is built in the model dtype over just
-    the keys it gathers. Returns the output projection of the merged heads.
+    The queries are the last ``len(q)`` rows of the keys: query i sits at
+    key position ``len(k) - len(q) + i``. Chunk i covers key positions
+    [i*chunk, min((i+1)*chunk, len(k))); its queries attend to the key
+    ranges ``earlier[i]`` (strictly before the chunk, ascending), then to
+    the chunk's own keys. Key s is visible to query t iff s <= t and, given
+    a window, t - s < window. Chunks without queries are skipped. Each
+    chunk's bias is built in the model dtype over just the keys it gathers.
+    Returns the output projection of the merged heads.
     """
-    n = q.shape[0]
+    n = k.shape[0]
+    offset = n - q.shape[0]
     outs = []
     for i, start in enumerate(range(0, n, chunk)):
         stop = min(start + chunk, n)
+        if stop <= offset:
+            continue
+        first = max(start, offset)
         spans = [(lo, hi) for lo, hi in [*(earlier[i] if earlier else ()), (start, stop)] if lo < hi]
         keys = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-        queries = np.arange(start, stop)[:, None]
-        bias = np.zeros((stop - start, keys.size), dtype=q.dtype)
+        queries = np.arange(first, stop)[:, None]
+        bias = np.zeros((stop - first, keys.size), dtype=q.dtype)
         bias[keys > queries] = NEG_INF
         if window is not None:
             bias[keys <= queries - window] = NEG_INF
         kc = concat([_rows(k, lo, hi) for lo, hi in spans]) if len(spans) > 1 else _rows(k, *spans[0])
         vc = concat([_rows(v, lo, hi) for lo, hi in spans]) if len(spans) > 1 else _rows(v, *spans[0])
-        outs.append(multi_head_attention(_rows(q, start, stop), kc, vc, bias, p))
+        outs.append(multi_head_attention(_rows(q, first - offset, stop - offset), kc, vc, bias, p))
     merged = outs[0] if len(outs) == 1 else concat(outs, axis=0)
     return matmul(merged, p.w_o)
 
@@ -184,12 +192,39 @@ def _rows(t, lo, hi):
     return t if lo == 0 and hi == t.shape[0] else narrow(t, 0, lo, hi)
 
 
-def full_attention(x, p, causal=True):
-    """Exact dense softmax attention over the whole sequence: one chunk of length L."""
-    q, k, v = project_qkv(x, p)
+def project_with_cache(x, p, cache, keep=None):
+    """Q/K/V of ``x`` as the rows after those a decode ``cache`` has seen.
+
+    ``cache`` is a dict, empty before the first call. It holds the absolute
+    position of the next row and the rotated K/V rows kept so far (constants:
+    no gradient flows into them). The returned K/V are the kept rows followed
+    by the new ones; the cache then keeps the last ``keep`` of them (all when
+    None). With ``cache=None`` this is ``project_qkv(x, p)``.
+    """
+    if cache is None:
+        return project_qkv(x, p)
+    start = cache.get("position", 0)
+    q, k, v = project_qkv(x, p, start)
+    if len(cache.get("k", ())):
+        k = concat([Tensor(cache["k"]), k])
+        v = concat([Tensor(cache["v"]), v])
+    if keep is None:
+        cache.update(k=k.data, v=v.data)
+    else:  # copies, so the rows no later query can see are freed
+        lo = max(0, k.shape[0] - keep)
+        cache.update(k=k.data[lo:].copy(), v=v.data[lo:].copy())
+    cache["position"] = start + x.shape[0]
+    return q, k, v
+
+
+def full_attention(x, p, causal=True, cache=None):
+    """Exact dense softmax attention over the whole sequence: one chunk of
+    length L. A decode ``cache`` (see ``project_with_cache``) keeps every
+    K/V row, and ``x`` then attends to all of them too."""
+    q, k, v = project_with_cache(x, p, cache)
     if not causal:
         return matmul(multi_head_attention(q, k, v, None, p), p.w_o)
-    return chunked_attention(q, k, v, p, x.shape[0])
+    return chunked_attention(q, k, v, p, k.shape[0])
 
 
 def masked_oracle_attention(x, p, mask):
@@ -203,14 +238,16 @@ def masked_oracle_attention(x, p, mask):
     return matmul(multi_head_attention(q, k, v, mask.bias.astype(x.dtype), p), p.w_o)
 
 
-def sliding_window_attention(x, p, window):
+def sliding_window_attention(x, p, window, cache=None):
     """Causal attention where query t sees keys max(0, t-window+1)..t.
 
     Chunks of ``window`` queries each gather the window-1 keys before them,
-    so scores and biases grow as L*window rather than L^2.
+    so scores and biases grow as L*window rather than L^2. A decode
+    ``cache`` (see ``project_with_cache``) keeps only the last window-1
+    K/V rows, so decoding runs in constant state.
     """
     if window < 1:
         raise ConfigError("window must be >= 1")
-    q, k, v = project_qkv(x, p)
-    earlier = [[(max(0, start - window + 1), start)] for start in range(0, x.shape[0], window)]
+    q, k, v = project_with_cache(x, p, cache, keep=window - 1)
+    earlier = [[(max(0, start - window + 1), start)] for start in range(0, k.shape[0], window)]
     return chunked_attention(q, k, v, p, window, earlier, window=window)

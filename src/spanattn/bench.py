@@ -3,19 +3,20 @@
 One profiled step = forward + backward + optimizer update of a single
 attention layer on a random sequence, which keeps the scaling signal clean
 of unrelated model costs. Timing uses the median over >= 5 repetitions
-after warm-up; the measured region is pinned to one BLAS thread when
-threadpoolctl is available. Peak memory is sampled with tracemalloc (numpy
-buffers are traced) in a separate pass so the instrumentation never
-pollutes the timings.
+after warm-up; the measured region is pinned to one thread of the loaded
+OpenBLAS, set and confirmed through its own C API. Peak memory is sampled
+with tracemalloc (numpy buffers are traced) in a separate pass so the
+instrumentation never pollutes the timings.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
 import time
 import tracemalloc
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,13 +117,49 @@ class ProfileRecord:
         }
 
 
-def _single_thread_region():
-    try:
-        from threadpoolctl import threadpool_limits
+# (getter, setter) names across OpenBLAS builds: numpy's bundled scipy-openblas, then a system one
+_OPENBLAS_THREAD_API = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
-        return threadpool_limits(limits=1)
-    except ImportError:  # measure as-is; medians stay robust
-        return nullcontext()
+
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS this process loaded, or None."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        if not path.startswith("/"):
+            continue
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_API:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _single_thread_region():
+    """Pin the loaded OpenBLAS to one thread; yields the count its getter then
+    reports (None when no OpenBLAS is found) and restores the old count on exit."""
+    api = _openblas_threads()
+    if api is None:
+        yield None
+        return
+    get, set_ = api
+    before = get()
+    set_(1)
+    try:
+        yield get()
+    finally:
+        set_(before)
 
 
 def _make_step(variant, L, d, d_model, heads, M, S, k, window, seed):

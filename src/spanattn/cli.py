@@ -6,9 +6,9 @@ deterministic manifest under the output directory. Wall-clock figures
 (tokens/s, run duration) go to separate metadata files so re-running a
 command overwrites the real artifacts bit-identically.
 
-Exit codes: 0 ok, 1 invalid config/usage or corrupt checkpoint, 2 missing
-artifact, 3 numeric failure (NaN/Inf detected). SPANATTN_SEED overrides
-the config seed.
+Exit codes: 0 ok, 1 invalid config/usage or a corrupt or unreadable
+checkpoint, 2 missing artifact, 3 numeric failure (NaN/Inf detected).
+SPANATTN_SEED overrides the config seed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .adaptation import apply_policy, merge_adapters
-from .bench import run_profile_grid, write_profile_csv
+from .bench import _single_thread_region, run_profile_grid, write_profile_csv
 from .config import config_hash, load_config
 from .errors import ConfigError, GenerationError, InputError, NumericError, UsageError
 from .evalgen import generate_task, perplexity, score_recall
@@ -95,9 +95,10 @@ def _write_manifest(out_dir, command, cfg, artifacts, metadata_files=()):
         f.write("\n")
 
 
-def _write_run_info(out_dir, started, command):
+def _write_run_info(out_dir, started, command, **extra):
+    info = {"command": command, "started_unix": started, "duration_s": time.time() - started, **extra}
     with open(out_dir / "run_info.json", "w") as f:
-        json.dump({"command": command, "started_unix": started, "duration_s": time.time() - started}, f, indent=2)
+        json.dump(info, f, indent=2)
         f.write("\n")
 
 
@@ -225,22 +226,24 @@ def cmd_gen(cfg, out_dir):
 
 
 def cmd_bench(cfg, out_dir):
-    records = run_profile_grid(
-        cfg.bench.variants,
-        cfg.bench.lengths,
-        d=cfg.model.d,
-        d_model=cfg.model.d_model,
-        heads=cfg.model.heads,
-        M=max(cfg.attention.chunk_sizes),
-        S=cfg.attention.block_size,
-        k=cfg.attention.top_k,
-        window=cfg.attention.window,
-        reps=cfg.bench.reps,
-        seed=cfg.seed,
-    )
+    """Profile grid plus the BLAS thread count it ran with, for run_info.json."""
+    with _single_thread_region() as blas_threads:
+        records = run_profile_grid(
+            cfg.bench.variants,
+            cfg.bench.lengths,
+            d=cfg.model.d,
+            d_model=cfg.model.d_model,
+            heads=cfg.model.heads,
+            M=max(cfg.attention.chunk_sizes),
+            S=cfg.attention.block_size,
+            k=cfg.attention.top_k,
+            window=cfg.attention.window,
+            reps=cfg.bench.reps,
+            seed=cfg.seed,
+        )
     write_profile_csv(out_dir / "profile.csv", records)
     _write_manifest(out_dir, "bench", cfg, ["profile.csv"], ["run_info.json"])
-    return 0
+    return 0, {"blas_threads": blas_threads, "blas_pinned": blas_threads == 1}
 
 
 def cmd_trace(cfg, out_dir, checkpoint, input_path):
@@ -322,6 +325,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     started = time.time()
+    info = {}
     try:
         cfg = load_config(args.config)
         env_seed = os.environ.get("SPANATTN_SEED")
@@ -340,10 +344,10 @@ def main(argv=None):
         elif args.command == "gen":
             code = cmd_gen(cfg, out_dir)
         elif args.command == "bench":
-            code = cmd_bench(cfg, out_dir)
+            code, info = cmd_bench(cfg, out_dir)
         else:
             code = cmd_trace(cfg, out_dir, args.checkpoint, args.input)
-        _write_run_info(out_dir, started, args.command)
+        _write_run_info(out_dir, started, args.command, **info)
         return code
     except (ConfigError, UsageError, InputError, GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

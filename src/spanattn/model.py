@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .attention import AttentionParams, full_attention, sliding_window_attention
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, UsageError
 from .ops import causal_conv1d, cross_entropy_logits, embedding_lookup, linear_recurrence, rms_norm, sigmoid
 from .se_attn import SEAttnConfig, se_attn_forward
 from .tensor import Tensor, backward, concat, matmul, narrow, scale, transpose
@@ -108,15 +108,25 @@ class SSMLayer:
             f"{prefix}.out_proj": self.out_proj,
         }
 
-    def forward(self, x):
+    def forward(self, x, cache=None):
+        """The block over ``x``; a decode ``cache`` (a dict, empty at first)
+        supplies and keeps the conv tail and the recurrence state, so ``x``
+        continues the sequence it has seen."""
         e = self.state_dim
         h = rms_norm(x, self.norm)
         both = matmul(h, self.in_proj)
         u = narrow(both, 1, 0, e)
         gate = narrow(both, 1, e, 2 * e)
-        u = causal_conv1d(u, self.conv_kernel, self.conv_bias, max_width=self.conv_max_width)
+        history = h0 = None
+        if cache is not None:
+            history = cache.get("conv", np.zeros((self.conv_kernel.shape[0] - 1, e), dtype=x.dtype))
+            h0 = cache.get("h")
+            cache["conv"] = np.concatenate([history, u.data])[u.shape[0] :]
+        u = causal_conv1d(u, self.conv_kernel, self.conv_bias, max_width=self.conv_max_width, history=history)
         decay = sigmoid(self.decay_logit)
-        state = linear_recurrence(u, decay, self.input_gain)
+        state = linear_recurrence(u, decay, self.input_gain, h0=h0)
+        if cache is not None:
+            cache["h"] = state.data[-1].copy()
         gated = state * sigmoid(gate)
         return x + matmul(gated, self.out_proj)
 
@@ -179,14 +189,15 @@ class AttentionLayer:
             use_rope=self.params.use_rope,
         )
 
-    def forward(self, x, setting, rng=None):
+    def forward(self, x, setting, rng=None, cache=None):
+        """The block over ``x``; a decode ``cache`` (full and sw only) keeps the K/V rows."""
         h = rms_norm(x, self.norm)
         p = self.effective_params()
         trace = None
         if setting.kind == "full":
-            out = full_attention(h, p, causal=True)
+            out = full_attention(h, p, causal=True, cache=cache)
         elif setting.kind == "sw":
-            out = sliding_window_attention(h, p, window=setting.window)
+            out = sliding_window_attention(h, p, window=setting.window, cache=cache)
         else:
             out, trace = se_attn_forward(h, p, setting.se_cfg, rng=rng)
         return x + out, trace
@@ -244,12 +255,21 @@ def expected_parameter_count(cfg):
     return total
 
 
-def model_forward(model, tokens, setting, step=0, collect_traces=False):
+def model_forward(model, tokens, setting, step=0, collect_traces=False, cache=None):
     """Causal LM logits for one token sequence.
 
     ``step`` seeds the per-layer chunk-size draws so identical (tokens,
     step) pairs replay bitwise identically.
+
+    ``cache`` makes the call stateful: a dict, empty before the first call,
+    in which every block keeps its decode state (SSM conv tail and
+    recurrence state, attention K/V rows). ``tokens`` then continue the
+    sequence the cache has seen, and the logits are those of a forward of
+    the whole sequence at the new positions. SE attention rejects a cache:
+    its relevancy scores a whole chunk at once, so a prefix cannot be reused.
     """
+    if cache is not None and setting.kind == "se":
+        raise UsageError("se attention has no decode cache; re-run the whole sequence instead")
     tokens = np.asarray(tokens)
     if tokens.ndim != 1 or tokens.size < 1:
         raise InputError("tokens must be a non-empty 1-d sequence")
@@ -258,11 +278,12 @@ def model_forward(model, tokens, setting, step=0, collect_traces=False):
     h = embedding_lookup(model.embedding, tokens)
     traces = []
     for li, block in enumerate(model.blocks):
+        state = None if cache is None else cache.setdefault(li, {})
         if isinstance(block, SSMLayer):
-            h = block.forward(h)
+            h = block.forward(h, state)
         else:
             rng = np.random.default_rng([model.config.seed, li, step])
-            h, trace = block.forward(h, setting, rng=rng)
+            h, trace = block.forward(h, setting, rng=rng, cache=state)
             if collect_traces and trace is not None:
                 traces.append((li, trace))
     h = rms_norm(h, model.final_norm)
@@ -328,16 +349,25 @@ def train_step(model, batch, optimizer, setting, step=0, pad_id=PAD_ID):
 
 
 def greedy_generate(model, prompt_tokens, setting, max_new_tokens, stop_id=None, step=0):
-    """Greedy decoding by full re-forward per emitted token (desk scale)."""
+    """Greedy decoding, one ``model_forward`` call per emitted token.
+
+    Full and sliding-window attention run the prompt once into a decode
+    cache and then feed only the token just emitted, so a token costs one
+    token's work. SE attention has no decode cache and re-runs the whole
+    sequence for every token.
+    """
+    cache = None if setting.kind == "se" else {}
     tokens = list(np.asarray(prompt_tokens))
+    feed = tokens
     out = []
     for _ in range(max_new_tokens):
-        logits = model_forward(model, np.asarray(tokens), setting, step=step)
+        logits = model_forward(model, np.asarray(feed), setting, step=step, cache=cache)
         nxt = int(np.argmax(logits.data[-1]))
         out.append(nxt)
-        tokens.append(nxt)
         if stop_id is not None and nxt == stop_id:
             break
+        tokens.append(nxt)
+        feed = tokens if cache is None else [nxt]
     return out
 
 
@@ -363,15 +393,20 @@ def read_container(path, fmt, required=()):
     """Validated header and named arrays of a container written by ``write_container``.
 
     Checks the JSON header, the format tag and version, the dtype tag, the
-    ``required`` keys, and that every buffer lies inside the file with
-    nbytes = shape x itemsize. Raises ``InputError`` naming the file and field.
+    ``required`` keys, that nbytes = shape x itemsize, and that the buffers
+    tile the data bytes exactly: no gap, no overlap, nothing left over.
+    Raises ``InputError`` naming the file and field.
     """
-    with open(path, "rb") as f:
-        line = f.readline()
-        blob = f.read()
 
     def bad(field, why):
         return InputError(f"{path}: {field}: {why}")
+
+    try:
+        with open(path, "rb") as f:
+            line = f.readline()
+            blob = f.read()
+    except OSError as exc:
+        raise bad("file", f"cannot be read ({exc.strerror or exc})") from None
 
     try:
         header = json.loads(line)
@@ -389,7 +424,7 @@ def read_container(path, fmt, required=()):
     if not isinstance(header["params"], list):
         raise bad("params", "not a list")
     itemsize = np.dtype(header["dtype"]).itemsize
-    arrays = {}
+    arrays, spans = {}, []
     for i, entry in enumerate(header["params"]):
         try:
             name, offset, nbytes = str(entry["name"]), int(entry["offset"]), int(entry["nbytes"])
@@ -401,7 +436,16 @@ def read_container(path, fmt, required=()):
             raise bad(f"params[{i}].nbytes", f"{nbytes} does not match shape {list(shape)} of {header['dtype']}")
         if offset < 0 or offset + nbytes > len(blob):
             raise bad(f"params[{i}].offset", f"{offset} + {nbytes} bytes lies outside the {len(blob)} data bytes")
+        spans.append((offset, nbytes, i))
         arrays[name] = np.frombuffer(blob, dtype=header["dtype"], count=count, offset=offset).reshape(shape)
+    end = 0
+    for offset, nbytes, i in sorted(spans):
+        if offset != end:
+            why = "overlaps the buffer before it" if offset < end else f"leaves a gap after byte {end}"
+            raise bad(f"params[{i}].offset", f"{offset} {why}")
+        end += nbytes
+    if end != len(blob):
+        raise bad("params", f"the buffers cover {end} of the {len(blob)} data bytes")
     return header, arrays
 
 

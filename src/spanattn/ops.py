@@ -75,19 +75,24 @@ def rope_embed(t, positions, base=10000.0, pos_scale=1.0):
     return _node(out, (t,), grad_fn, "rope_embed")
 
 
-def causal_conv1d(x, kernel, bias, max_width=None):
+def causal_conv1d(x, kernel, bias, max_width=None, history=None):
     """Depthwise causal FIR filter: out[t, c] = sum_tau kernel[tau, c] * x[t-tau, c] + bias[c].
 
     Tap 0 multiplies the current token; the sequence is left-padded with
-    zeros so the output has the same length as the input.
+    ``history`` (the w-1 input rows before it, a constant) or with zeros,
+    so the output has the same length as the input.
     """
     w, d = kernel.data.shape
     if max_width is not None and w > max_width:
         raise ConfigError(f"conv kernel width {w} exceeds configured maximum {max_width}")
     if x.data.shape[1] != d:
         raise ShapeError("conv kernel channel count must match the input width")
+    if history is None:
+        history = np.zeros((w - 1, d), dtype=x.dtype)
+    elif np.shape(history) != (w - 1, d):
+        raise ShapeError(f"conv history must be ({w - 1}, {d}), got {np.shape(history)}")
     length = x.data.shape[0]
-    xp = np.vstack([np.zeros((w - 1, d), dtype=x.dtype), x.data]) if w > 1 else x.data
+    xp = np.vstack([history, x.data]).astype(x.dtype, copy=False) if w > 1 else x.data
     out = np.zeros_like(x.data)
     for tau in range(w):
         out += kernel.data[tau] * xp[w - 1 - tau : w - 1 - tau + length]
@@ -109,8 +114,8 @@ def causal_conv1d(x, kernel, bias, max_width=None):
     return _node(out, (x, kernel, bias), grad_fn, "causal_conv1d")
 
 
-def linear_recurrence(u, a, b):
-    """Per-channel scan h_t = a * h_{t-1} + b * u_t with h_0 = 0.
+def linear_recurrence(u, a, b, h0=None):
+    """Per-channel scan h_t = a * h_{t-1} + b * u_t from h_0 = ``h0`` (a constant) or 0.
 
     ``a`` and ``b`` are per-channel vectors; a single graph node hides the
     sequential loop so the tape stays short on long sequences.
@@ -118,8 +123,11 @@ def linear_recurrence(u, a, b):
     length, d = u.data.shape
     if a.data.shape != (d,) or b.data.shape != (d,):
         raise ShapeError("recurrence coefficients must be per-channel vectors")
+    if h0 is not None and np.shape(h0) != (d,):
+        raise ShapeError(f"recurrence start state must be ({d},), got {np.shape(h0)}")
     hs = np.empty_like(u.data)
-    h = np.zeros(d, dtype=u.dtype)
+    start = np.zeros(d, dtype=u.dtype) if h0 is None else np.asarray(h0, dtype=u.dtype)
+    h = start
     ad = a.data
     bd = b.data
     for t in range(length):
@@ -138,6 +146,8 @@ def linear_recurrence(u, a, b):
             gb += lam * u.data[t]
             if t > 0:
                 ga += lam * hs[t - 1]
+            elif h0 is not None:
+                ga += lam * start
         if gu is not None:
             _accum(u, gu)
         _accum(a, ga)

@@ -7,13 +7,15 @@ from helpers import naive_masked_attention
 from spanattn.attention import (
     AdditiveMask,
     AttentionParams,
+    chunked_attention,
     full_attention,
     masked_oracle_attention,
+    project_qkv,
     sliding_window_attention,
 )
 from spanattn.errors import ConfigError, UsageError
 from spanattn.se_attn import SEAttnConfig, se_attn_forward
-from spanattn.tensor import Tensor
+from spanattn.tensor import Tensor, narrow
 
 
 def make_params(d=4, d_model=8, heads=1, seed=0, **kw):
@@ -214,3 +216,14 @@ def test_forward_is_deterministic():
     first = full_attention(Tensor(x_data.copy()), p32, causal=True).data
     second = full_attention(Tensor(x_data.copy()), p32, causal=True).data
     assert (first == second).all()
+
+
+@pytest.mark.parametrize("chunk, window", [(13, None), (4, None), (4, 4), (3, 5)])
+def test_queries_may_be_the_last_rows_of_the_keys(chunk, window):
+    p = make_params(heads=2)
+    q, k, v = project_qkv(make_x(13), p)
+    earlier = None if window is None else [[(max(0, s - window + 1), s)] for s in range(0, 13, chunk)]
+    whole = chunked_attention(q, k, v, p, chunk, earlier, window=window).data
+    for n_q in (1, 3, 5, 13):
+        tail = chunked_attention(narrow(q, 0, 13 - n_q, 13), k, v, p, chunk, earlier, window=window).data
+        np.testing.assert_allclose(tail, whole[13 - n_q :], rtol=1e-12, atol=1e-12)

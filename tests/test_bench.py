@@ -7,6 +7,8 @@ import pytest
 
 from spanattn.bench import (
     CostModelInput,
+    _openblas_threads,
+    _single_thread_region,
     analytic_cost,
     loglog_slope,
     profile_step,
@@ -115,3 +117,21 @@ def test_loglog_slope_recovers_power():
     lengths = [256, 512, 1024, 2048]
     times = [1e-6 * L**2 for L in lengths]
     np.testing.assert_allclose(loglog_slope(lengths, times), 2.0, atol=1e-9)
+
+
+def test_single_thread_region_pins_openblas_and_restores_its_count():
+    api = _openblas_threads()
+    if api is None:
+        with _single_thread_region() as threads:
+            assert threads is None
+        return
+    get, set_ = api
+    original = get()
+    set_(2)  # a count to restore other than the pin itself, where the build allows it
+    before = get()
+    try:
+        with _single_thread_region() as threads:
+            assert threads == get() == 1
+        assert get() == before
+    finally:
+        set_(original)

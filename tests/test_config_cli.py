@@ -235,6 +235,15 @@ class TestCLIEvalGenBenchTrace:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: {field}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "trace"])
+    def test_a_directory_as_checkpoint_exits_one(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        folder = tmp_path / "not_a_checkpoint"
+        folder.mkdir()
+        assert main([command, str(cfg), "--out", str(tmp_path / "out"), "--checkpoint", str(folder)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {folder}: file: ") and "Traceback" not in err
+
     def test_gen_writes_instance_lines(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "gen_out"
@@ -253,6 +262,11 @@ class TestCLIEvalGenBenchTrace:
         lines = (out / "profile.csv").read_text().strip().splitlines()
         assert lines[0] == "variant,L,M,S,k,median_s,min_s,max_s,peak_bytes,analytic_ops"
         assert len(lines) == 1 + 2 * 2
+        info = json.loads((out / "run_info.json").read_text())
+        from spanattn.bench import _openblas_threads
+
+        pinned = _openblas_threads() is not None
+        assert info["blas_threads"] == (1 if pinned else None) and info["blas_pinned"] is pinned
 
     def test_trace_round_trips_mask(self, tmp_path):
         cfg = write_config(tmp_path)

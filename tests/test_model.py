@@ -1,12 +1,14 @@
 """Hybrid model: SSM block semantics, causality, training loop, checkpoints."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from helpers import central_diff, max_rel_err
 
-from spanattn.errors import ConfigError, InputError
+from spanattn.errors import ConfigError, InputError, UsageError
 from spanattn.model import (
     AdamW,
     AttentionSetting,
@@ -29,6 +31,11 @@ def tiny_config(**kw):
     base = dict(layers=2, d=16, d_model=16, heads=2, blend_ratio=1, vocab=32, seed=0, dtype="float64")
     base.update(kw)
     return ModelConfig(**base)
+
+
+def _shift(entries, i, by):
+    """The checkpoint manifest with entry i's buffer moved ``by`` bytes (every later one too)."""
+    return [{**e, "offset": e["offset"] + (by if j >= i else 0)} for j, e in enumerate(entries)]
 
 
 def full_setting():
@@ -260,6 +267,29 @@ class TestCheckpoints:
             model_forward(loaded, tokens, full_setting()).data,
         )
 
+    def test_unreadable_checkpoint_is_an_input_error(self, tmp_path):
+        with pytest.raises(InputError, match=rf"^{re.escape(str(tmp_path))}: file: "):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda entries, blob: (entries, blob + b"\0" * 4), "params"),
+            (lambda entries, blob: (_shift(entries, 1, -4), blob), "params[1].offset"),
+            (lambda entries, blob: (_shift(entries, 1, 4), blob + b"\0" * 4), "params[1].offset"),
+        ],
+        ids=["trailing_bytes", "overlap", "gap"],
+    )
+    def test_buffers_must_tile_the_data_bytes(self, tmp_path, edit, field):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, HybridModel(tiny_config(dtype="float32")))
+        line, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(line)
+        header["params"], blob = edit(header["params"], blob)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: {re.escape(field)}: "):
+            load_checkpoint(path)
+
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(p1, HybridModel(tiny_config(dtype="float32")))
@@ -274,3 +304,76 @@ class TestGeneration:
         a = greedy_generate(model, prompt, full_setting(), max_new_tokens=5)
         b = greedy_generate(model, prompt, full_setting(), max_new_tokens=5)
         assert a == b and len(a) == 5
+
+
+def reforward_generate(model, prompt, setting, max_new_tokens, stop_id=None):
+    """Greedy decoding by a full forward of the whole sequence per emitted token."""
+    tokens, out = list(prompt), []
+    for _ in range(max_new_tokens):
+        nxt = int(np.argmax(model_forward(model, np.asarray(tokens), setting).data[-1]))
+        out.append(nxt)
+        tokens.append(nxt)
+        if nxt == stop_id:
+            break
+    return out
+
+
+DECODE_SETTINGS = {"full": AttentionSetting(kind="full"), "sw": AttentionSetting(kind="sw", window=4)}
+DECODE_TOL = {"float32": 1e-5, "float64": 1e-12}
+
+
+class TestCachedDecoding:
+    """Stateful decoding (SSM conv tail and recurrence state plus a KV cache) against a re-forward."""
+
+    @pytest.mark.parametrize("kind", ["full", "sw"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_prefill_from_an_empty_cache_is_the_uncached_forward(self, kind, dtype):
+        model = HybridModel(tiny_config(layers=4, dtype=dtype))
+        tokens = np.random.default_rng(20).integers(0, 32, size=13)
+        cached = model_forward(model, tokens, DECODE_SETTINGS[kind], cache={}).data
+        np.testing.assert_array_equal(cached, model_forward(model, tokens, DECODE_SETTINGS[kind]).data)
+
+    @pytest.mark.parametrize("kind", ["full", "sw"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cached_steps_match_a_re_forward(self, kind, dtype, seed):
+        # prompts 1..conv_width+1, and 3, 4, 5, 9 around the window W = 4; the
+        # continuation arrives 1, 3 and 2 tokens at a time
+        model = HybridModel(tiny_config(layers=4, dtype=dtype, seed=seed))
+        setting = DECODE_SETTINGS[kind]
+        rng = np.random.default_rng(21 + seed)
+        worst = 0.0
+        for prompt_len in sorted({*range(1, model.config.conv_width + 2), 3, 4, 5, 9}):
+            tokens = rng.integers(0, 32, size=prompt_len + 12)
+            cache = {}
+            model_forward(model, tokens[:prompt_len], setting, cache=cache)
+            pos = prompt_len
+            for n in (1, 3, 2, 1, 1, 3, 1):
+                got = model_forward(model, tokens[pos : pos + n], setting, cache=cache).data
+                want = model_forward(model, tokens[: pos + n], setting).data[pos:]
+                worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+                pos += n
+        assert worst < DECODE_TOL[dtype]
+
+    @pytest.mark.parametrize("kind", ["full", "sw"])
+    def test_greedy_generate_emits_the_re_forward_tokens(self, kind):
+        for seed in range(4):
+            model = HybridModel(tiny_config(layers=4, dtype="float32", seed=seed))
+            prompt = np.random.default_rng(22 + seed).integers(0, 32, size=7 + seed)
+            want = reforward_generate(model, prompt, DECODE_SETTINGS[kind], max_new_tokens=8, stop_id=3)
+            assert greedy_generate(model, prompt, DECODE_SETTINGS[kind], max_new_tokens=8, stop_id=3) == want
+
+    def test_sliding_window_cache_holds_at_most_window_minus_one_rows(self):
+        model = HybridModel(tiny_config(layers=4))
+        cache = {}
+        tokens = np.random.default_rng(23).integers(0, 32, size=20)
+        model_forward(model, tokens[:9], DECODE_SETTINGS["sw"], cache=cache)
+        for t in tokens[9:]:
+            model_forward(model, [t], DECODE_SETTINGS["sw"], cache=cache)
+            kv = [layer for layer in cache.values() if "k" in layer]
+            assert len(kv) == 2 and all(len(layer["k"]) == len(layer["v"]) == 3 for layer in kv)
+
+    def test_se_attention_rejects_a_cache(self):
+        model = HybridModel(tiny_config())
+        with pytest.raises(UsageError):
+            model_forward(model, [1, 2, 3], se_setting(), cache={})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import central_diff, max_rel_err
 
-from spanattn.errors import ConfigError
+from spanattn.errors import ConfigError, ShapeError
 from spanattn.ops import (
     causal_conv1d,
     cross_entropy_logits,
@@ -183,6 +183,35 @@ class TestCausalConv:
         assert max_rel_err(b.grad, central_diff(loss_fn, b_data)) < 1e-6
 
 
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_history_continues_the_sequence(self, width):
+        rng = np.random.default_rng(30 + width)
+        x1, x2 = rng.standard_normal((5, 3)), rng.standard_normal((3, 3))
+        k, b = Tensor(rng.standard_normal((width, 3))), Tensor(rng.standard_normal(3))
+        whole = causal_conv1d(Tensor(np.vstack([x1, x2])), k, b).data
+        tail = x1[len(x1) - (width - 1) :]
+        np.testing.assert_array_equal(causal_conv1d(Tensor(x2), k, b, history=tail).data, whole[len(x1) :])
+
+    def test_history_is_a_constant_in_the_gradient(self):
+        rng = np.random.default_rng(34)
+        x1, x2 = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
+        k_data, b_data, coef = rng.standard_normal((3, 2)), rng.standard_normal(2), rng.standard_normal((3, 2))
+        k = Tensor(k_data.copy(), requires_grad=True)
+        x = Tensor(x2.copy(), requires_grad=True)
+        backward(sum_all(mul(causal_conv1d(x, k, Tensor(b_data), history=x1[-2:]), Tensor(coef))))
+
+        def loss_fn():
+            out = causal_conv1d(Tensor(np.vstack([x1, x2])), Tensor(k_data), Tensor(b_data)).data[len(x1) :]
+            return float((out * coef).sum())
+
+        assert max_rel_err(k.grad, central_diff(loss_fn, k_data)) < 1e-6
+        assert max_rel_err(x.grad, central_diff(loss_fn, x2)) < 1e-6
+
+    def test_history_shape_checked(self):
+        with pytest.raises(ShapeError):
+            causal_conv1d(Tensor(np.zeros((4, 2))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)), history=np.zeros((1, 2)))
+
+
 class TestLinearRecurrence:
     def test_zero_decay_is_memoryless(self):
         rng = np.random.default_rng(10)
@@ -239,6 +268,37 @@ class TestLinearRecurrence:
         assert max_rel_err(u.grad, central_diff(loss_fn, u_data)) < 1e-6
         assert max_rel_err(a.grad, central_diff(loss_fn, a_data)) < 1e-6
         assert max_rel_err(b.grad, central_diff(loss_fn, b_data)) < 1e-6
+
+    def test_start_state_continues_the_scan(self):
+        rng = np.random.default_rng(35)
+        u1, u2 = rng.standard_normal((6, 4)), rng.standard_normal((3, 4))
+        a, b = Tensor(rng.uniform(0.1, 0.9, size=4)), Tensor(rng.standard_normal(4))
+        h1 = linear_recurrence(Tensor(u1), a, b).data
+        whole = linear_recurrence(Tensor(np.vstack([u1, u2])), a, b).data
+        np.testing.assert_array_equal(linear_recurrence(Tensor(u2), a, b, h0=h1[-1]).data, whole[len(u1) :])
+
+    def test_start_state_enters_the_decay_gradient(self):
+        rng = np.random.default_rng(36)
+        u_data, h0 = rng.standard_normal((4, 3)), rng.standard_normal(3)
+        a_data, b_data = rng.uniform(0.2, 0.8, size=3), rng.standard_normal(3)
+        coef = rng.standard_normal((4, 3))
+        a = Tensor(a_data.copy(), requires_grad=True)
+        u = Tensor(u_data.copy(), requires_grad=True)
+        backward(sum_all(mul(linear_recurrence(u, a, Tensor(b_data), h0=h0), Tensor(coef))))
+
+        def loss_fn():
+            h, total = h0.copy(), 0.0
+            for t in range(4):
+                h = a_data * h + b_data * u_data[t]
+                total += float(h @ coef[t])
+            return total
+
+        assert max_rel_err(a.grad, central_diff(loss_fn, a_data)) < 1e-6
+        assert max_rel_err(u.grad, central_diff(loss_fn, u_data)) < 1e-6
+
+    def test_start_state_shape_checked(self):
+        with pytest.raises(ShapeError):
+            linear_recurrence(Tensor(np.zeros((3, 2))), Tensor(np.ones(2)), Tensor(np.ones(2)), h0=np.zeros(3))
 
 
 class TestNormSigmoidEmbedding:
