@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UsageError
-from .ops import masked_softmax, rope_embed
-from .tensor import Tensor, concat, matmul, narrow, scale, transpose
+from .ops import masked_softmax, rope_embed, softmax_rows_inplace
+from .tensor import Tensor, _accum, _node, concat, matmul, narrow, scale, transpose
 
 NEG_INF = float("-inf")
 
@@ -135,9 +135,82 @@ def project_qkv(x, p, start=0):
     return q, k, v
 
 
-def multi_head_attention(q, k, v, bias, p):
-    """Softmax attention per head on already-projected tensors; heads are
-    column slices of width d_model/head_count, concatenated afterwards."""
+def multi_head_attention(q, k, v, bias, p, *, rows, keys):
+    """Softmax attention of gathered query rows over gathered key rows, every
+    chunk at once, as one autodiff node.
+
+    ``rows`` (C, Mq) and ``keys`` (C, K) are integer row indices: chunk c's
+    query slots ``q[rows[c]]`` attend to its key slots ``k[keys[c]]`` and
+    ``v[keys[c]]`` under ``bias`` (C, Mq, K), an additive {0, -inf} constant.
+    A slot of -1 is padding, which the bias must mask entirely (the whole
+    row of a query slot, the whole column of a key slot); padded query
+    slots are dropped. The output has the rows of ``q``, zero where no slot
+    names a row. Heads are column slices of width d_model/head_count.
+    Scores are materialised one head at a time, and only each head's
+    probabilities P are kept for backward, which uses
+    dS = P * (dP - rowsum(dO * O)) (Dao et al. 2022, arXiv 2205.14135) and
+    scatter-adds dK/dV, since one key row may sit in many chunks.
+    """
+    rows, keys = np.asarray(rows), np.asarray(keys)
+    if rows.ndim != 2 or keys.ndim != 2 or bias.shape != (*rows.shape, keys.shape[1]):
+        raise ShapeError(f"bias must be (C, Mq, K) for rows {rows.shape} and keys {keys.shape}, got {bias.shape}")
+    heads = p.head_count
+    inv = 1.0 / math.sqrt(p.head_dim)
+    valid = rows >= 0
+    qg, kg, vg = _split_heads(q.data[rows], heads), _split_heads(k.data[keys], heads), _split_heads(v.data[keys], heads)
+    og = np.empty_like(qg)
+    keep = q.requires_grad or k.requires_grad or v.requires_grad
+    probs = []
+    for h in range(heads):
+        s = np.matmul(qg[h], kg[h].transpose(0, 2, 1))
+        s *= inv
+        s += bias
+        softmax_rows_inplace(s)
+        np.matmul(s, vg[h], out=og[h])
+        if keep:
+            probs.append(s)
+    out = np.zeros(q.shape, dtype=q.dtype)
+    out[rows[valid]] = _merge_heads(og)[valid]
+
+    def grad_fn(g):
+        go = _split_heads(g[rows], heads)  # padded slots have P = 0, so their dO is inert
+        dq, dk, dv = np.empty_like(qg), np.empty_like(kg), np.empty_like(vg)
+        for h, ph in enumerate(probs):
+            np.matmul(ph.transpose(0, 2, 1), go[h], out=dv[h])
+            ds = np.matmul(go[h], vg[h].transpose(0, 2, 1))
+            ds -= (go[h] * og[h]).sum(axis=-1, keepdims=True)
+            ds *= ph
+            ds *= inv
+            np.matmul(ds, kg[h], out=dq[h])
+            np.matmul(ds.transpose(0, 2, 1), qg[h], out=dk[h])
+        if q.requires_grad:
+            gq = np.zeros_like(q.data)
+            gq[rows[valid]] = _merge_heads(dq)[valid]
+            _accum(q, gq)
+        for t, d in ((k, dk), (v, dv)):
+            if t.requires_grad:
+                gt = np.zeros_like(t.data)
+                np.add.at(gt, keys, _merge_heads(d))
+                _accum(t, gt)
+
+    return _node(out, (q, k, v), grad_fn, "multi_head_attention")
+
+
+def _split_heads(x, heads):
+    """(C, M, d_model) -> contiguous (heads, C, M, d_model/heads)."""
+    c, m, dm = x.shape
+    return np.ascontiguousarray(x.reshape(c, m, heads, dm // heads).transpose(2, 0, 1, 3))
+
+
+def _merge_heads(x):
+    """Inverse of ``_split_heads``."""
+    heads, c, m, dh = x.shape
+    return x.transpose(1, 2, 0, 3).reshape(c, m, heads * dh)
+
+
+def _per_head_attention(q, k, v, bias, p):
+    """Softmax attention composed from tape primitives, one head at a time:
+    the dense oracle's path, independent of ``multi_head_attention``."""
     dh = p.head_dim
     inv = 1.0 / math.sqrt(dh)
     outs = []
@@ -149,47 +222,44 @@ def multi_head_attention(q, k, v, bias, p):
         scores = scale(matmul(qh, transpose(kh)), inv)
         probs = masked_softmax(scores, bias)
         outs.append(matmul(probs, vh))
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=1)
-    return merged
+    return outs[0] if len(outs) == 1 else concat(outs, axis=1)
 
 
 def chunked_attention(q, k, v, p, chunk, earlier=None, window=None):
-    """Causal attention of projected Q/K/V, one chunk of keys at a time.
+    """Causal attention of projected Q/K/V in chunks of keys, all chunks in
+    one ``multi_head_attention`` call.
 
     The queries are the last ``len(q)`` rows of the keys: query i sits at
     key position ``len(k) - len(q) + i``. Chunk i covers key positions
     [i*chunk, min((i+1)*chunk, len(k))); its queries attend to the key
     ranges ``earlier[i]`` (strictly before the chunk, ascending), then to
     the chunk's own keys. Key s is visible to query t iff s <= t and, given
-    a window, t - s < window. Chunks without queries are skipped. Each
-    chunk's bias is built in the model dtype over just the keys it gathers.
+    a window, t - s < window. Chunks without queries are skipped. Each chunk
+    has min(chunk, len(q)) query slots and as many key slots as the widest
+    chunk gathers; the slots a short chunk leaves over are -inf padding in
+    the one (chunks, slots, keys) bias, built in the model dtype.
     Returns the output projection of the merged heads.
     """
     n = k.shape[0]
     offset = n - q.shape[0]
-    outs = []
-    for i, start in enumerate(range(0, n, chunk)):
-        stop = min(start + chunk, n)
-        if stop <= offset:
-            continue
-        first = max(start, offset)
-        spans = [(lo, hi) for lo, hi in [*(earlier[i] if earlier else ()), (start, stop)] if lo < hi]
-        keys = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-        queries = np.arange(first, stop)[:, None]
-        bias = np.zeros((stop - first, keys.size), dtype=q.dtype)
-        bias[keys > queries] = NEG_INF
-        if window is not None:
-            bias[keys <= queries - window] = NEG_INF
-        kc = concat([_rows(k, lo, hi) for lo, hi in spans]) if len(spans) > 1 else _rows(k, *spans[0])
-        vc = concat([_rows(v, lo, hi) for lo, hi in spans]) if len(spans) > 1 else _rows(v, *spans[0])
-        outs.append(multi_head_attention(_rows(q, first - offset, stop - offset), kc, vc, bias, p))
-    merged = outs[0] if len(outs) == 1 else concat(outs, axis=0)
-    return matmul(merged, p.w_o)
-
-
-def _rows(t, lo, hi):
-    """Rows [lo, hi) of a sequence tensor; the tensor itself when that is all of it."""
-    return t if lo == 0 and hi == t.shape[0] else narrow(t, 0, lo, hi)
+    starts = np.arange(offset // chunk * chunk, n, chunk)
+    stops = np.minimum(starts + chunk, n)
+    key_pos = [
+        np.concatenate([np.arange(lo, hi) for lo, hi in [*(earlier[i] if earlier else ()), (start, stop)]])
+        for i, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist()), offset // chunk)
+    ]
+    keys = np.full((len(key_pos), max(map(len, key_pos))), -1)
+    for row, pos in zip(keys, key_pos):
+        row[: len(pos)] = pos
+    query_pos = np.maximum(starts, offset)[:, None] + np.arange(min(chunk, q.shape[0]))
+    rows = np.where(query_pos < stops[:, None], query_pos - offset, -1)
+    kp, qp = keys[:, None, :], query_pos[:, :, None]
+    visible = (kp >= 0) & (kp <= qp) & (rows >= 0)[:, :, None]
+    if window is not None:
+        visible &= kp > qp - window
+    bias = np.zeros(visible.shape, dtype=q.dtype)
+    bias[~visible] = NEG_INF
+    return matmul(multi_head_attention(q, k, v, bias, p, rows=rows, keys=keys), p.w_o)
 
 
 def project_with_cache(x, p, cache, keep=None):
@@ -223,7 +293,7 @@ def full_attention(x, p, causal=True, cache=None):
     K/V row, and ``x`` then attends to all of them too."""
     q, k, v = project_with_cache(x, p, cache)
     if not causal:
-        return matmul(multi_head_attention(q, k, v, None, p), p.w_o)
+        return matmul(_per_head_attention(q, k, v, None, p), p.w_o)
     return chunked_attention(q, k, v, p, k.shape[0])
 
 
@@ -235,7 +305,7 @@ def masked_oracle_attention(x, p, mask):
     if mask.fully_masked_rows().any():
         raise UsageError("oracle attention requires every query row to see at least one key")
     q, k, v = project_qkv(x, p)
-    return matmul(multi_head_attention(q, k, v, mask.bias.astype(x.dtype), p), p.w_o)
+    return matmul(_per_head_attention(q, k, v, mask.bias.astype(x.dtype), p), p.w_o)
 
 
 def sliding_window_attention(x, p, window, cache=None):

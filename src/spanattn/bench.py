@@ -27,7 +27,9 @@ from .model import AdamW
 from .se_attn import SEAttnConfig, se_attn_forward
 from .tensor import Tensor, backward, mul, sum_all
 
-PROFILE_CSV_FIELDS = ("variant", "L", "M", "S", "k", "median_s", "min_s", "max_s", "peak_bytes", "analytic_ops")
+PROFILE_CSV_FIELDS = (
+    "variant", "L", "M", "S", "k", "median_s", "min_s", "max_s", "peak_bytes", "analytic_ops", "graph_nodes",
+)
 
 VARIANT_NAMES = ("full", "sw", "nomem", "se")
 
@@ -100,6 +102,7 @@ class ProfileRecord:
     peak_bytes: int
     reps: int
     analytic_ops: float
+    graph_nodes: int = -1  # autodiff nodes one step's backward replayed
     oom: bool = False
 
     def csv_row(self):
@@ -114,6 +117,7 @@ class ProfileRecord:
             "max_s": f"{self.max_s:.6f}",
             "peak_bytes": self.peak_bytes,
             "analytic_ops": f"{self.analytic_ops:.0f}",
+            "graph_nodes": self.graph_nodes,
         }
 
 
@@ -178,6 +182,7 @@ def _make_step(variant, L, d, d_model, heads, M, S, k, window, seed):
         )
 
     def one_step(step_index):
+        """One training step; returns the number of graph nodes its backward replayed."""
         opt.zero_grad()
         if variant == "full":
             out = full_attention(x, params, causal=True)
@@ -185,8 +190,9 @@ def _make_step(variant, L, d, d_model, heads, M, S, k, window, seed):
             out = sliding_window_attention(x, params, window=window)
         else:
             out, _ = se_attn_forward(x, params, se_cfg, rng=np.random.default_rng([seed, step_index]))
-        backward(sum_all(mul(out, out)))
+        nodes = backward(sum_all(mul(out, out)))
         opt.step()
+        return nodes
 
     return one_step
 
@@ -210,7 +216,7 @@ def profile_step(variant, L, d=32, d_model=32, heads=1, M=128, S=32, k=4, window
             times = []
             for i in range(reps):
                 t0 = time.perf_counter()
-                one_step(warmup + i)
+                nodes = one_step(warmup + i)
                 times.append(time.perf_counter() - t0)
         peak = 0
         if measure_memory:
@@ -230,7 +236,7 @@ def profile_step(variant, L, d=32, d_model=32, heads=1, M=128, S=32, k=4, window
     return ProfileRecord(
         variant=variant, L=L, M=M, S=S, k=k,
         median_s=float(np.median(times)), min_s=float(min(times)), max_s=float(max(times)),
-        peak_bytes=int(peak), reps=reps, analytic_ops=est.ops,
+        peak_bytes=int(peak), reps=reps, analytic_ops=est.ops, graph_nodes=nodes,
     )
 
 

@@ -22,19 +22,26 @@ def masked_softmax(scores, bias=None):
     callers that need to know which rows those are inspect the mask
     (``AdditiveMask.fully_masked_rows``).
     """
-    z = scores.data if bias is None else scores.data + np.asarray(bias, dtype=scores.dtype)
-    m = np.max(z, axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(z - m)
-    s = e.sum(axis=-1, keepdims=True)
-    safe = np.where(s > 0.0, s, 1.0)
-    p = e / safe
+    p = scores.data.copy() if bias is None else scores.data + np.asarray(bias, dtype=scores.dtype)
+    softmax_rows_inplace(p)
 
     def grad_fn(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
         _accum(scores, p * (g - dot))
 
     return _node(p, (scores,), grad_fn, "masked_softmax")
+
+
+def softmax_rows_inplace(z):
+    """Overwrite an ndarray with its softmax along the last axis; rows that
+    are -inf everywhere become zeros."""
+    m = z.max(axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    z -= m
+    np.exp(z, out=z)
+    s = z.sum(axis=-1, keepdims=True)
+    s[s == 0.0] = 1.0
+    z /= s
 
 
 def rope_embed(t, positions, base=10000.0, pos_scale=1.0):

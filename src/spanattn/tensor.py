@@ -22,7 +22,7 @@ def _as_array(data, dtype=None):
     a = np.asarray(data)
     if dtype is not None:
         return np.ascontiguousarray(a, dtype=dtype)
-    if not np.issubdtype(a.dtype, np.floating):
+    if a.dtype.kind != "f":
         return np.ascontiguousarray(a, dtype=DEFAULT_DTYPE)
     return np.ascontiguousarray(a)
 
@@ -132,7 +132,8 @@ def backward(loss):
     """Populate .grad on every requires_grad tensor reachable from a scalar loss.
 
     The recorded graph is consumed: interior activations and closures are
-    freed as soon as their gradient has been propagated.
+    freed as soon as their gradient has been propagated. Returns the number
+    of graph nodes replayed, leaves included.
     """
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor")
@@ -167,6 +168,7 @@ def backward(loss):
         node._grad_fn = None
         node._parents = ()
         node.grad = None  # interior activation; leaves keep theirs
+    return len(topo)
 
 
 # primitives ---------------------------------------------------------------

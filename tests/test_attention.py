@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from helpers import naive_masked_attention
+from helpers import central_diff, max_rel_err, naive_masked_attention
 
 from spanattn.attention import (
     AdditiveMask,
     AttentionParams,
+    _per_head_attention,
     chunked_attention,
     full_attention,
     masked_oracle_attention,
@@ -15,7 +16,7 @@ from spanattn.attention import (
 )
 from spanattn.errors import ConfigError, UsageError
 from spanattn.se_attn import SEAttnConfig, se_attn_forward
-from spanattn.tensor import Tensor, narrow
+from spanattn.tensor import Tensor, backward, matmul, mul, narrow, sum_all
 
 
 def make_params(d=4, d_model=8, heads=1, seed=0, **kw):
@@ -159,9 +160,8 @@ def test_mask_entries_validated():
 
 
 def test_oracle_weights_are_convex_combinations():
-    from spanattn.attention import multi_head_attention, project_qkv
     from spanattn.ops import masked_softmax
-    from spanattn.tensor import matmul, narrow, scale, transpose
+    from spanattn.tensor import scale, transpose
 
     p = make_params(heads=2, seed=8)
     x = make_x(7, seed=8)
@@ -227,3 +227,95 @@ def test_queries_may_be_the_last_rows_of_the_keys(chunk, window):
     for n_q in (1, 3, 5, 13):
         tail = chunked_attention(narrow(q, 0, 13 - n_q, 13), k, v, p, chunk, earlier, window=window).data
         np.testing.assert_allclose(tail, whole[13 - n_q :], rtol=1e-12, atol=1e-12)
+
+
+def _se_spans(n, chunk, block, picks):
+    """Earlier ranges of SE-style chunks: chunk i retrieves the blocks ``picks(i)``."""
+    return [[(j * block, (j + 1) * block) for j in picks(i)] for i in range(-(-n // chunk))]
+
+
+# (keys, queries, chunk, earlier, window): the shapes the fused node must get right
+FUSED_CASES = {
+    "full": (9, 9, 9, None, None),
+    "sw-3": (10, 10, 3, [[(max(0, s - 2), s)] for s in range(0, 10, 3)], 3),
+    # block 0 is retrieved by every later chunk (one key row in many chunks), chunk 1
+    # sees one of its two past blocks (fewer than k), and the last chunk is 2 rows long
+    "se-repeated-ragged": (18, 18, 4, _se_spans(18, 4, 2, lambda i: [0, 2 * i - 1][:i]), None),
+    "decode-se": (11, 5, 4, _se_spans(11, 4, 2, lambda i: [0, 2 * i - 1][:i]), None),
+    "decode-one-query": (7, 1, 7, None, None),
+}
+
+
+def _dense_visible(n, n_q, chunk, earlier, window):
+    """Query i (key position n - n_q + i) sees key s: the chunk rule spelled out by loops."""
+    visible = np.zeros((n_q, n), dtype=bool)
+    for i, start in enumerate(range(0, n, chunk)):
+        stop = min(start + chunk, n)
+        spans = [*(earlier[i] if earlier else ()), (start, stop)]
+        for t in range(max(start, n - n_q), stop):
+            for lo, hi in spans:
+                for s in range(lo, hi):
+                    visible[t - (n - n_q), s] = s <= t and (window is None or t - s < window)
+    return visible
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_fused_node_matches_finite_differences_and_the_per_head_tape(case):
+    n, n_q, chunk, earlier, window = FUSED_CASES[case]
+    p = make_params(heads=2, seed=40)
+    rng = np.random.default_rng(40)
+    data = {"q": rng.standard_normal((n_q, 8)), "k": rng.standard_normal((n, 8)), "v": rng.standard_normal((n, 8))}
+    coef = rng.standard_normal((n_q, 4))
+    bias = np.where(_dense_visible(n, n_q, chunk, earlier, window), 0.0, float("-inf"))
+
+    def fused(arrays, grad=False):
+        t = {name: Tensor(a, requires_grad=grad) for name, a in arrays.items()}
+        return chunked_attention(t["q"], t["k"], t["v"], p, chunk, earlier, window=window), t
+
+    out, leaves = fused(data, grad=True)
+    nodes = backward(sum_all(mul(out, Tensor(coef))))
+    assert nodes == 3 + 4  # q, k, v, the fused node, w_o's matmul, the product and the sum
+    for name, arr in data.items():
+        fd = central_diff(lambda: float((fused(data)[0].data * coef).sum()), arr)
+        assert max_rel_err(leaves[name].grad, fd) < 1e-6, name
+
+    tape = {name: Tensor(a, requires_grad=True) for name, a in data.items()}
+    want = matmul(_per_head_attention(tape["q"], tape["k"], tape["v"], bias, p), p.w_o)
+    backward(sum_all(mul(want, Tensor(coef))))
+    np.testing.assert_allclose(out.data, want.data, rtol=1e-12, atol=1e-12)
+    for name in data:
+        np.testing.assert_allclose(leaves[name].grad, tape[name].grad, rtol=1e-12, atol=1e-12)
+
+    p32 = AttentionParams.random(4, 8, head_count=2, seed=40, dtype=np.float32)
+    t32 = {name: Tensor(a.astype(np.float32)) for name, a in data.items()}
+    got32 = chunked_attention(t32["q"], t32["k"], t32["v"], p32, chunk, earlier, window=window).data
+    want32 = matmul(_per_head_attention(t32["q"], t32["k"], t32["v"], bias.astype(np.float32), p32), p32.w_o).data
+    np.testing.assert_allclose(got32, want32, rtol=1e-5, atol=1e-5)
+
+
+def test_se_graph_size_does_not_grow_with_length():
+    p = AttentionParams.random(4, 8, head_count=2, seed=41, dtype=np.float64, requires_grad=True)
+    cfg = SEAttnConfig(chunk_sizes=(16,), memory_block_size=8, top_k=2, seed=41)
+    counts = []
+    for length in (64, 512):
+        out, _ = se_attn_forward(make_x(length, seed=41), p, cfg)
+        counts.append(backward(sum_all(out)))
+    assert counts[0] == counts[1]
+
+
+def test_a_decode_step_computes_one_row_of_scores(monkeypatch):
+    import spanattn.attention as attention_mod
+
+    shapes = []
+    fused = attention_mod.multi_head_attention
+
+    def spy(q, k, v, bias, p, **kw):
+        shapes.append(bias.shape)
+        return fused(q, k, v, bias, p, **kw)
+
+    monkeypatch.setattr(attention_mod, "multi_head_attention", spy)
+    p = make_params(heads=2)
+    q, k, v = project_qkv(make_x(50), p)
+    chunked_attention(narrow(q, 0, 49, 50), k, v, p, 50)
+    chunked_attention(narrow(q, 0, 47, 50), k, v, p, 16)
+    assert shapes == [(1, 1, 50), (2, 3, 16)]  # query slots: min(chunk, len(q))

@@ -109,7 +109,7 @@ def test_profile_csv_round_trip(tmp_path):
     path = tmp_path / "profile.csv"
     write_profile_csv(path, records)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "variant,L,M,S,k,median_s,min_s,max_s,peak_bytes,analytic_ops"
+    assert lines[0] == "variant,L,M,S,k,median_s,min_s,max_s,peak_bytes,analytic_ops,graph_nodes"
     assert len(lines) == 5
 
 

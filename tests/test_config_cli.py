@@ -260,8 +260,9 @@ class TestCLIEvalGenBenchTrace:
         out = tmp_path / "bench_out"
         assert main(["bench", str(cfg), "--out", str(out)]) == 0
         lines = (out / "profile.csv").read_text().strip().splitlines()
-        assert lines[0] == "variant,L,M,S,k,median_s,min_s,max_s,peak_bytes,analytic_ops"
+        assert lines[0] == "variant,L,M,S,k,median_s,min_s,max_s,peak_bytes,analytic_ops,graph_nodes"
         assert len(lines) == 1 + 2 * 2
+        assert all(int(line.split(",")[-1]) > 0 for line in lines[1:])
         info = json.loads((out / "run_info.json").read_text())
         from spanattn.bench import _openblas_threads
 

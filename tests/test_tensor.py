@@ -58,6 +58,12 @@ def test_matmul_gradients_match_finite_differences():
     assert max_rel_err(b.grad, fd_b) < 1e-6
 
 
+def test_backward_returns_the_number_of_nodes_it_replayed():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    constant = Tensor(np.array([3.0, 4.0]))
+    assert backward(sum_all(mul(mul(x, constant), x))) == 4  # x, two products, the sum
+
+
 def test_backward_sum_gives_ones():
     x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     backward(sum_all(x))
