@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import math
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -62,13 +61,12 @@ class CostEstimate:
     note: str = ""
 
 
-def analytic_cost(inp, include_topk_sort=False):
+def analytic_cost(inp):
     """Multiply-accumulate count per variant, constants fixed at 1.
 
     The span-expanded cost is the sum of its three stages: block
     summarization d*L*S, relevancy scoring d*L^2/S, and chunk attention
-    d*L*M. The optional sorting term (L/M)*(L/S)*log2(L/S) is not part of
-    the published bound and stays off by default.
+    d*L*M.
     """
     d, L = float(inp.d_model), float(inp.L)
     if inp.variant == "full":
@@ -78,14 +76,8 @@ def analytic_cost(inp, include_topk_sort=False):
     if inp.variant == "nomem":
         return CostEstimate(ops=d * L * inp.M)
     ops = d * (L * inp.S + L * inp.M + L * L / inp.S)
-    note = ""
-    if include_topk_sort and L > inp.S:
-        blocks = L / inp.S
-        ops += (L / inp.M) * blocks * math.log2(blocks)
-        note = "includes top-k sort term"
     bound_ok = inp.S * inp.k <= inp.M
-    if not bound_ok:
-        note = (note + "; " if note else "") + "S*k >= M violates the chunk-stage bound assumption"
+    note = "" if bound_ok else "S*k >= M violates the chunk-stage bound assumption"
     return CostEstimate(ops=ops, bound_ok=bound_ok, note=note)
 
 

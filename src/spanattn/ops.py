@@ -142,23 +142,15 @@ def linear_recurrence(u, a, b, h0=None):
         hs[t] = h
 
     def grad_fn(g):
-        lam = np.zeros(d, dtype=u.dtype)
-        gu = np.empty_like(u.data) if u.requires_grad else None
-        ga = np.zeros(d, dtype=u.dtype)
-        gb = np.zeros(d, dtype=u.dtype)
+        lam = np.empty_like(u.data)  # adjoint of h_t
+        nxt = np.zeros(d, dtype=u.dtype)
         for t in range(length - 1, -1, -1):
-            lam = g[t] + ad * lam
-            if gu is not None:
-                gu[t] = bd * lam
-            gb += lam * u.data[t]
-            if t > 0:
-                ga += lam * hs[t - 1]
-            elif h0 is not None:
-                ga += lam * start
-        if gu is not None:
-            _accum(u, gu)
-        _accum(a, ga)
-        _accum(b, gb)
+            nxt = g[t] + ad * nxt
+            lam[t] = nxt
+        if u.requires_grad:
+            _accum(u, bd * lam)
+        _accum(a, (lam * np.vstack([start, hs[:-1]])).sum(axis=0))
+        _accum(b, (lam * u.data).sum(axis=0))
 
     return _node(hs, (u, a, b), grad_fn, "linear_recurrence")
 

@@ -19,10 +19,14 @@ import numpy as np
 
 from .attention import AdditiveMask, chunked_attention, project_qkv
 from .errors import ConfigError, InvariantError, UsageError
+from .ops import softmax_rows_inplace
 
 VARIANTS = ("standard", "nomem", "random", "landmark")
 
 NEG_INF = float("-inf")
+
+# Seed of the fixed landmark query shared by every block in the landmark variant.
+LANDMARK_SEED = 1234
 
 
 @dataclass
@@ -32,7 +36,6 @@ class SEAttnConfig:
     top_k: int = 2
     variant: str = "standard"
     seed: int = 0
-    landmark_seed: int = 1234
 
     def __post_init__(self):
         self.chunk_sizes = tuple(sorted(int(m) for m in self.chunk_sizes))
@@ -46,23 +49,6 @@ class SEAttnConfig:
             raise ConfigError("every chunk size must be >= the memory block size")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-
-
-@dataclass
-class MemoryBlock:
-    """A contiguous S-token slice of the projected sequence plus its summary."""
-
-    index: int
-    start: int
-    stop: int
-    q_mem: np.ndarray
-    k_mem: np.ndarray
-    v_mem: np.ndarray
-    summary: np.ndarray = None
-
-    @property
-    def size(self):
-        return self.stop - self.start
 
 
 @dataclass
@@ -131,65 +117,26 @@ class RetrievalTrace:
         return trace
 
 
-def build_memory_blocks(q_data, k_data, v_data, block_size):
-    """Split detached projections into S-token blocks (final block may be short)."""
-    n = k_data.shape[0]
-    blocks = []
-    for j, start in enumerate(range(0, n, block_size)):
-        stop = min(start + block_size, n)
-        blocks.append(
-            MemoryBlock(
-                index=j,
-                start=start,
-                stop=stop,
-                q_mem=q_data[start:stop],
-                k_mem=k_data[start:stop],
-                v_mem=v_data[start:stop],
-            )
-        )
-    return blocks
+def summarize_blocks(q, k, v, block_size, d_model, landmark=None):
+    """Summaries of every S-token memory block, ``(n_blocks, d_model)``.
 
-
-def _softmax_rows(z):
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def summarize_block(block, d_model=None):
-    """Mean row of the block's non-causal self-attention output.
-
-    Every token in the block attends to every other; the average of the
-    attended rows is the block's compressed representation.
+    A block's summary is the mean row of its non-causal self-attention
+    output; with ``landmark`` it is instead the attention output of that one
+    fixed query over the block. The full blocks are one ``(n, S, d)`` batch
+    and a short tail block is a batch of one.
     """
-    dm = block.k_mem.shape[-1] if d_model is None else d_model
-    scores = block.q_mem @ block.k_mem.T / math.sqrt(dm)
-    attn = _softmax_rows(scores) @ block.v_mem
-    return attn.mean(axis=0)
-
-
-def summarize_blocks(blocks, d_model):
-    """Fill every block's summary; equal-sized blocks are batched in one einsum."""
-    full = [b for b in blocks if b.size == blocks[0].size]
-    tail = blocks[len(full) :]
-    if full:
-        q = np.stack([b.q_mem for b in full])
-        k = np.stack([b.k_mem for b in full])
-        v = np.stack([b.v_mem for b in full])
-        scores = np.einsum("usd,utd->ust", q, k) / math.sqrt(d_model)
-        c = np.einsum("ust,utd->usd", _softmax_rows(scores), v).mean(axis=1)
-        for b, summary in zip(full, c):
-            b.summary = summary
-    for b in tail:
-        b.summary = summarize_block(b, d_model=d_model)
-
-
-def landmark_summarize(block, landmark_vector, d_model=None):
-    """One-query cross-attention between a fixed landmark vector and the block."""
-    dm = block.k_mem.shape[-1] if d_model is None else d_model
-    scores = landmark_vector @ block.k_mem.T / math.sqrt(dm)
-    weights = _softmax_rows(scores[None, :])[0]
-    return weights @ block.v_mem
+    n, d = k.shape
+    cut = n - n % block_size
+    parts = []
+    for lo, hi, size in ((0, cut, block_size), (cut, n, n - cut)):
+        if hi == lo:
+            continue
+        shape = (-1, size, d)
+        queries = q[lo:hi].reshape(shape) if landmark is None else landmark[None, None, :]
+        attn = np.matmul(queries, k[lo:hi].reshape(shape).transpose(0, 2, 1)) / math.sqrt(d_model)
+        softmax_rows_inplace(attn)
+        parts.append(np.matmul(attn, v[lo:hi].reshape(shape)).mean(axis=1))
+    return np.concatenate(parts)
 
 
 def landmark_vector(d_model, seed, dtype=np.float64):
@@ -198,46 +145,42 @@ def landmark_vector(d_model, seed, dtype=np.float64):
     return (rng.standard_normal(d_model) / math.sqrt(d_model)).astype(dtype)
 
 
-def relevancy_scores(q_chunk, summaries, retrievable, d_model):
-    """Masked-softmax relevancy of each memory block to one chunk.
+def relevancy_scores(q, starts, summaries, retrievable, d_model):
+    """Masked-softmax relevancy of every memory block to every chunk, ``(C, n_blocks)``.
 
-    Scores are the chunk's summed query rows dotted with each block summary,
-    shifted by -inf for non-retrievable blocks and softmaxed with a
-    1/sqrt(d_model) temperature. Returns ``(probs, no_past)``: probabilities
-    over blocks (zeros everywhere when nothing is retrievable) and a flag
-    marking that fully-masked case.
+    Chunk c holds the query rows ``starts[c]:starts[c + 1]``. Its scores are
+    its summed query rows dotted with each block summary, softmaxed in
+    float64 with a 1/sqrt(d_model) temperature over the blocks that
+    ``retrievable[c]`` allows; rows with nothing retrievable are all zeros.
     """
-    retrievable = np.asarray(retrievable, dtype=bool)
-    n_blocks = summaries.shape[0]
-    if not retrievable.any():
-        return np.zeros(n_blocks, dtype=np.float64), True
-    bias = np.where(retrievable, 0.0, NEG_INF)
-    raw = summaries @ q_chunk.sum(axis=0)
-    probs = _softmax_rows(((raw + bias) / math.sqrt(d_model))[None, :])[0]
-    return probs, False
+    raw = np.add.reduceat(q, starts, axis=0) @ summaries.T
+    probs = np.where(retrievable, raw.astype(np.float64) / math.sqrt(d_model), NEG_INF)
+    softmax_rows_inplace(probs)
+    return probs
 
 
 def select_top_k(scores, retrievable, k, variant="standard", rng=None):
-    """Pick the retrieved block indices for one chunk, ascending by index.
+    """Pick each chunk's retrieved block indices, one ascending list per row.
 
-    standard/landmark: k highest-scoring retrievable blocks, ties broken
-    toward the earlier block; random: uniform without replacement; nomem:
-    nothing. Fewer than k retrievable blocks means all of them.
+    standard/landmark: the k highest-scoring retrievable blocks, ties broken
+    toward the earlier block; random: uniform without replacement, one draw
+    per chunk in chunk order; nomem: nothing. Fewer than k retrievable
+    blocks means all of them.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    retrievable = np.asarray(retrievable, dtype=bool)
-    past = np.flatnonzero(retrievable)
-    take = min(int(k), past.size)
-    if variant == "nomem" or take == 0:
-        return []
+    takes = np.minimum(int(k), retrievable.sum(axis=1))
+    if variant == "nomem" or not takes.any():
+        return [[] for _ in takes]
     if variant == "random":
         if rng is None:
             raise UsageError("random selection needs a seeded generator")
-        chosen = rng.choice(past, size=take, replace=False)
-        return sorted(int(i) for i in chosen)
-    order = np.lexsort((past, -np.asarray(scores, dtype=np.float64)[past]))
-    return sorted(int(past[i]) for i in order[:take])
+        return [
+            sorted(rng.choice(np.flatnonzero(row), size=take, replace=False).tolist()) if take else []
+            for row, take in zip(retrievable, takes)
+        ]
+    order = np.argsort(-np.where(retrievable, scores, NEG_INF), axis=1, kind="stable")
+    return [sorted(row[:take].tolist()) for row, take in zip(order, takes)]
 
 
 def se_attn_forward(x, p, cfg, rng=None):
@@ -257,42 +200,40 @@ def se_attn_forward(x, p, cfg, rng=None):
 
     q, k, v = project_qkv(x, p)
 
-    blocks = build_memory_blocks(q.data, k.data, v.data, cfg.memory_block_size)
-    if cfg.variant == "landmark":
-        lm = landmark_vector(p.d_model, cfg.landmark_seed, dtype=np.float64)
-        for b in blocks:
-            b.summary = landmark_summarize(b, lm, d_model=p.d_model)
-    elif cfg.variant != "nomem":
-        summarize_blocks(blocks, p.d_model)
-    summaries = (
-        np.stack([b.summary for b in blocks])
-        if blocks and blocks[0].summary is not None
-        else np.zeros((len(blocks), p.d_model))
-    )
-    block_ends = np.asarray([b.stop for b in blocks])
+    s = cfg.memory_block_size
+    starts = np.arange(0, n, chunk_size)
+    block_starts = np.arange(0, n, s)
+    ends = np.minimum(block_starts + s, n)
+    retrievable = ends[None, :] <= starts[:, None]
+    if cfg.variant == "nomem":
+        scores = np.zeros(retrievable.shape)
+    else:
+        lm = landmark_vector(p.d_model, LANDMARK_SEED) if cfg.variant == "landmark" else None
+        summaries = summarize_blocks(q.data, k.data, v.data, s, p.d_model, landmark=lm)
+        scores = relevancy_scores(q.data, starts, summaries, retrievable, p.d_model)
+    selected = select_top_k(scores, retrievable, cfg.top_k, cfg.variant, rng)
+    no_past = ~retrievable.any(axis=1)
 
+    block_ranges = list(zip(block_starts.tolist(), ends.tolist()))
     trace = RetrievalTrace(
         seq_len=n,
         chunk_size=chunk_size,
-        block_size=cfg.memory_block_size,
+        block_size=s,
         variant=cfg.variant,
-        block_ranges=[(b.start, b.stop) for b in blocks],
+        block_ranges=block_ranges,
+        chunks=[
+            ChunkTrace(
+                index=i,
+                start=start,
+                stop=min(start + chunk_size, n),
+                scores=scores[i],
+                selected=selected[i],
+                no_past=bool(no_past[i]),
+            )
+            for i, start in enumerate(starts.tolist())
+        ],
     )
-
-    for i, start in enumerate(range(0, n, chunk_size)):
-        stop = min(start + chunk_size, n)
-        retrievable = block_ends <= start
-        if cfg.variant == "nomem":
-            scores, no_past = np.zeros(len(blocks)), not retrievable.any()
-            selected = []
-        else:
-            scores, no_past = relevancy_scores(q.data[start:stop], summaries, retrievable, p.d_model)
-            selected = select_top_k(scores, retrievable, cfg.top_k, cfg.variant, rng)
-        trace.chunks.append(
-            ChunkTrace(index=i, start=start, stop=stop, scores=scores, selected=selected, no_past=no_past)
-        )
-
-    earlier = [[trace.block_ranges[j] for j in c.selected] for c in trace.chunks]
+    earlier = [[block_ranges[j] for j in sel] for sel in selected]
     return chunked_attention(q, k, v, p, chunk_size, earlier), trace
 
 

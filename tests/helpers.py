@@ -80,3 +80,37 @@ def naive_masked_attention(x, wq, wk, wv, wo, heads, visible, use_rope=True, bas
             w /= w.sum()
             merged[t, lo:hi] = sum(wj * v[j, lo:hi] for wj, j in zip(w, keys))
     return merged @ wo
+
+
+def naive_retrieval(q, k, v, block_size, chunk_size, top_k, d_model, landmark=None):
+    """Each chunk's retrieved block indices (ascending), by explicit loops.
+
+    A block's summary is the mean over its query rows (or the one
+    ``landmark`` query) of softmax(q . k / sqrt(d_model)) over the block's
+    keys applied to its values. A chunk ranks its strictly-past blocks by
+    (sum of its query rows) . summary, the order the relevancy softmax
+    keeps, and takes the ``top_k`` best, ties to the earlier block.
+    """
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
+    n = k.shape[0]
+    blocks = [(lo, min(lo + block_size, n)) for lo in range(0, n, block_size)]
+    summaries = []
+    for lo, hi in blocks:
+        queries = [q[t] for t in range(lo, hi)] if landmark is None else [np.asarray(landmark, dtype=np.float64)]
+        total = np.zeros(v.shape[1])
+        for qt in queries:
+            logits = np.array([qt @ k[u] for u in range(lo, hi)]) / math.sqrt(d_model)
+            w = np.exp(logits - logits.max())
+            w /= w.sum()
+            for i, u in enumerate(range(lo, hi)):
+                total += w[i] * v[u]
+        summaries.append(total / len(queries))
+    selected = []
+    for start in range(0, n, chunk_size):
+        q_sum = np.zeros(q.shape[1])
+        for t in range(start, min(start + chunk_size, n)):
+            q_sum += q[t]
+        past = [j for j, (_, stop) in enumerate(blocks) if stop <= start]
+        ranked = sorted(past, key=lambda j: (-(q_sum @ summaries[j]), j))
+        selected.append(sorted(ranked[:top_k]))
+    return selected

@@ -34,13 +34,11 @@ from spanattn.model import (
 from spanattn.ops import causal_conv1d, cross_entropy_logits
 from spanattn.se_attn import (
     SEAttnConfig,
-    build_memory_blocks,
-    landmark_summarize,
     landmark_vector,
     relevancy_scores,
     se_attn_forward,
     select_top_k,
-    summarize_block,
+    summarize_blocks,
     trace_pattern,
 )
 from spanattn.tensor import Tensor, backward
@@ -229,8 +227,8 @@ def test_criterion_5_retrieval_semantics():
     draw_rng = np.random.default_rng(7)
     u, k = 8, 2
     counts = np.zeros(u)
-    for _ in range(10_000):
-        for j in select_top_k(np.zeros(u), np.ones(u, dtype=bool), k, variant="random", rng=draw_rng):
+    for row in select_top_k(np.zeros((10_000, u)), np.ones((10_000, u), dtype=bool), k, variant="random", rng=draw_rng):
+        for j in row:
             counts[j] += 1
     p_value = stats.chisquare(counts).pvalue
     ok = n_traces == 1000 and p_value > 0.01
@@ -246,30 +244,29 @@ def test_criterion_6_relevancy_math():
         summaries = rng.standard_normal((u, dm))
         retrievable = rng.random(u) < 0.7
         retrievable[int(rng.integers(u))] = True
-        probs, _ = relevancy_scores(q, summaries, retrievable, dm)
+        probs = relevancy_scores(q, np.array([0]), summaries, retrievable[None, :], dm)[0]
         raw = np.array([sum(q[t] @ summaries[j] for t in range(m)) for j in range(u)])
         masked = np.where(retrievable, raw, -np.inf) / math.sqrt(dm)
         e = np.exp(masked - masked[retrievable].max())
         worst_rel = max(worst_rel, float(np.max(np.abs(probs - e / e.sum()))))
 
-        blocks = build_memory_blocks(rng.standard_normal((12, dm)), rng.standard_normal((12, dm)),
-                                     rng.standard_normal((12, dm)), 4)
-        for block in blocks:
-            got = summarize_block(block, d_model=dm)
-            rows = np.zeros((block.size, dm))
-            for t in range(block.size):
-                logits = np.array([block.q_mem[t] @ block.k_mem[s2] for s2 in range(block.size)]) / math.sqrt(dm)
+        q_mem, k_mem, v_mem = (rng.standard_normal((12, dm)) for _ in range(3))
+        lm = landmark_vector(dm, seed=seed)
+        got = summarize_blocks(q_mem, k_mem, v_mem, 4, dm)
+        got_lm = summarize_blocks(q_mem, k_mem, v_mem, 4, dm, landmark=lm)
+        for j, lo in enumerate(range(0, 12, 4)):
+            rows = np.zeros((4, dm))
+            for t in range(lo, lo + 4):
+                logits = np.array([q_mem[t] @ k_mem[s2] for s2 in range(lo, lo + 4)]) / math.sqrt(dm)
                 w = np.exp(logits - logits.max())
                 w /= w.sum()
-                rows[t] = w @ block.v_mem
-            worst_sum = max(worst_sum, float(np.max(np.abs(got - rows.mean(axis=0)))))
+                rows[t - lo] = w @ v_mem[lo : lo + 4]
+            worst_sum = max(worst_sum, float(np.max(np.abs(got[j] - rows.mean(axis=0)))))
 
-            lm = landmark_vector(dm, seed=seed)
-            got_lm = landmark_summarize(block, lm, d_model=dm)
-            logits = np.array([lm @ block.k_mem[s2] for s2 in range(block.size)]) / math.sqrt(dm)
+            logits = np.array([lm @ k_mem[s2] for s2 in range(lo, lo + 4)]) / math.sqrt(dm)
             w = np.exp(logits - logits.max())
             w /= w.sum()
-            worst_lm = max(worst_lm, float(np.max(np.abs(got_lm - w @ block.v_mem))))
+            worst_lm = max(worst_lm, float(np.max(np.abs(got_lm[j] - w @ v_mem[lo : lo + 4]))))
     ok = worst_rel < 1e-6 and worst_sum < 1e-6 and worst_lm < 1e-6
     report(6, ok, f"relevancy {worst_rel:.2e}, summary {worst_sum:.2e}, landmark {worst_lm:.2e} vs direct formulas")
 

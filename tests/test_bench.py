@@ -1,6 +1,5 @@
 """Cost model arithmetic and small-scale profiling behavior."""
 
-import math
 
 import numpy as np
 import pytest
@@ -47,14 +46,6 @@ def test_ratio_to_full_grows_monotonically_in_length():
 def test_bound_assumption_flagged():
     est = analytic_cost(CostModelInput(variant="se", L=1024, M=64, S=32, k=4, d_model=32))
     assert not est.bound_ok and "bound" in est.note
-
-
-def test_topk_sort_term_off_by_default():
-    inp = CostModelInput(variant="se", L=1024, M=128, S=32, k=4, d_model=32)
-    base = analytic_cost(inp).ops
-    with_sort = analytic_cost(inp, include_topk_sort=True).ops
-    expected_extra = (1024 / 128) * (1024 / 32) * math.log2(1024 / 32)
-    np.testing.assert_allclose(with_sort - base, expected_extra)
 
 
 def test_other_variant_costs():

@@ -5,38 +5,30 @@ import math
 
 import numpy as np
 import pytest
-from helpers import central_diff, max_rel_err
+from helpers import central_diff, max_rel_err, naive_retrieval
 
-from spanattn.attention import AdditiveMask, AttentionParams, full_attention, masked_oracle_attention
+from spanattn.attention import AdditiveMask, AttentionParams, full_attention, masked_oracle_attention, project_qkv
 from spanattn.errors import ConfigError, InvariantError
 from spanattn.se_attn import (
-    MemoryBlock,
+    LANDMARK_SEED,
     RetrievalTrace,
     SEAttnConfig,
-    build_memory_blocks,
-    landmark_summarize,
     landmark_vector,
     mask_to_rle,
     relevancy_scores,
     rle_to_mask,
     se_attn_forward,
     select_top_k,
-    summarize_block,
+    summarize_blocks,
     trace_pattern,
 )
 from spanattn.tensor import Tensor, backward, mul, sum_all
 
 
 def make_block(size, d_model, seed=0):
+    """Query, key and value rows of one memory block."""
     rng = np.random.default_rng(seed)
-    return MemoryBlock(
-        index=0,
-        start=0,
-        stop=size,
-        q_mem=rng.standard_normal((size, d_model)),
-        k_mem=rng.standard_normal((size, d_model)),
-        v_mem=rng.standard_normal((size, d_model)),
-    )
+    return tuple(rng.standard_normal((size, d_model)) for _ in range(3))
 
 
 def make_params(d=8, d_model=8, heads=1, seed=0):
@@ -48,70 +40,76 @@ def make_x(length, d=8, seed=0, dtype=np.float64):
     return Tensor(rng.standard_normal((length, d)).astype(dtype))
 
 
+def one_chunk_scores(q_chunk, summaries, retrievable, d_model):
+    return relevancy_scores(q_chunk, np.array([0]), summaries, np.asarray(retrievable)[None, :], d_model)[0]
+
+
+def one_chunk_top_k(scores, retrievable, k, variant="standard", rng=None):
+    return select_top_k(np.asarray(scores)[None, :], np.asarray(retrievable)[None, :], k, variant, rng)[0]
+
+
 class TestSummaries:
     def test_single_token_block_summary_is_value_row(self):
-        block = make_block(1, 6)
-        np.testing.assert_allclose(summarize_block(block), block.v_mem[0], atol=1e-12)
+        q, k, v = make_block(1, 6)
+        np.testing.assert_allclose(summarize_blocks(q, k, v, 1, 6)[0], v[0], atol=1e-12)
 
     def test_identical_queries_collapse_to_one_attention_row(self):
-        block = make_block(4, 6, seed=1)
-        block.q_mem = np.tile(block.q_mem[0], (4, 1))
-        c = summarize_block(block)
-        scores = block.q_mem[0] @ block.k_mem.T / math.sqrt(6)
+        q, k, v = make_block(4, 6, seed=1)
+        q = np.tile(q[0], (4, 1))
+        c = summarize_blocks(q, k, v, 4, 6)[0]
+        scores = q[0] @ k.T / math.sqrt(6)
         w = np.exp(scores - scores.max())
         w /= w.sum()
-        np.testing.assert_allclose(c, w @ block.v_mem, atol=1e-12)
+        np.testing.assert_allclose(c, w @ v, atol=1e-12)
 
     def test_matches_naive_two_loop_computation(self):
-        block = make_block(4, 8, seed=2)
-        got = summarize_block(block)
+        q, k, v = make_block(4, 8, seed=2)
+        got = summarize_blocks(q, k, v, 4, 8)[0]
         rows = np.zeros((4, 8))
         for t in range(4):
-            logits = np.array([block.q_mem[t] @ block.k_mem[u] for u in range(4)]) / math.sqrt(8)
+            logits = np.array([q[t] @ k[u] for u in range(4)]) / math.sqrt(8)
             w = np.exp(logits - logits.max())
             w /= w.sum()
             for u in range(4):
-                rows[t] += w[u] * block.v_mem[u]
+                rows[t] += w[u] * v[u]
         np.testing.assert_allclose(got, rows.mean(axis=0), atol=1e-6)
 
     def test_landmark_single_token_block(self):
-        block = make_block(1, 6, seed=3)
+        q, k, v = make_block(1, 6, seed=3)
         lm = landmark_vector(6, seed=0)
-        np.testing.assert_allclose(landmark_summarize(block, lm), block.v_mem[0], atol=1e-12)
+        np.testing.assert_allclose(summarize_blocks(q, k, v, 1, 6, landmark=lm)[0], v[0], atol=1e-12)
 
     def test_landmark_orthogonal_to_keys_gives_mean_value(self):
-        block = make_block(3, 4, seed=4)
-        block.k_mem = np.zeros((3, 4))
-        block.k_mem[:, 0] = [1.0, 2.0, -1.0]
+        q, _, v = make_block(3, 4, seed=4)
+        k = np.zeros((3, 4))
+        k[:, 0] = [1.0, 2.0, -1.0]
         lm = np.array([0.0, 1.0, 0.0, 0.0])  # orthogonal to every key
-        np.testing.assert_allclose(landmark_summarize(block, lm), block.v_mem.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(summarize_blocks(q, k, v, 3, 4, landmark=lm)[0], v.mean(axis=0), atol=1e-12)
 
     def test_landmark_matches_direct_evaluation(self):
-        block = make_block(4, 8, seed=5)
+        q, k, v = make_block(4, 8, seed=5)
         lm = landmark_vector(8, seed=7)
-        got = landmark_summarize(block, lm)
-        logits = np.array([lm @ block.k_mem[u] for u in range(4)]) / math.sqrt(8)
+        got = summarize_blocks(q, k, v, 4, 8, landmark=lm)[0]
+        logits = np.array([lm @ k[u] for u in range(4)]) / math.sqrt(8)
         w = np.exp(logits - logits.max())
         w /= w.sum()
-        np.testing.assert_allclose(got, w @ block.v_mem, atol=1e-6)
+        np.testing.assert_allclose(got, w @ v, atol=1e-6)
 
 
 class TestRelevancy:
     def test_no_past_blocks_flagged(self):
         rng = np.random.default_rng(6)
-        probs, no_past = relevancy_scores(
-            rng.standard_normal((4, 8)), rng.standard_normal((3, 8)), np.zeros(3, dtype=bool), 8
-        )
-        assert no_past
+        probs = one_chunk_scores(rng.standard_normal((4, 8)), rng.standard_normal((3, 8)), np.zeros(3, dtype=bool), 8)
         np.testing.assert_array_equal(probs, np.zeros(3))
+        cfg = SEAttnConfig(chunk_sizes=(8,), memory_block_size=4)
+        _, trace = se_attn_forward(make_x(40, seed=6), make_params(seed=6), cfg)
+        assert [c.no_past for c in trace.chunks] == [True, False, False, False, False]
+        np.testing.assert_array_equal(trace.chunks[0].scores, np.zeros(10))
 
     def test_identical_summaries_split_evenly(self):
         rng = np.random.default_rng(7)
         c = rng.standard_normal(8)
-        probs, no_past = relevancy_scores(
-            rng.standard_normal((4, 8)), np.stack([c, c]), np.ones(2, dtype=bool), 8
-        )
-        assert not no_past
+        probs = one_chunk_scores(rng.standard_normal((4, 8)), np.stack([c, c]), np.ones(2, dtype=bool), 8)
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
     def test_matches_direct_formula(self):
@@ -119,7 +117,7 @@ class TestRelevancy:
         q = rng.standard_normal((4, 8))
         summaries = rng.standard_normal((3, 8))
         retrievable = np.array([True, True, False])
-        probs, _ = relevancy_scores(q, summaries, retrievable, 8)
+        probs = one_chunk_scores(q, summaries, retrievable, 8)
 
         raw = np.zeros(3)
         for j in range(3):
@@ -131,31 +129,59 @@ class TestRelevancy:
         np.testing.assert_allclose(probs[retrievable].sum(), 1.0, atol=1e-6)
         assert probs[2] == 0.0
 
+    def test_every_chunk_scored_against_its_own_rows(self):
+        rng = np.random.default_rng(9)
+        q = rng.standard_normal((10, 8))
+        summaries = rng.standard_normal((3, 8))
+        starts = np.array([0, 4, 8])
+        retrievable = np.array([[False, False, False], [True, False, False], [True, True, False]])
+        probs = relevancy_scores(q, starts, summaries, retrievable, 8)
+        for c, (lo, hi) in enumerate(((0, 4), (4, 8), (8, 10))):
+            np.testing.assert_allclose(probs[c], one_chunk_scores(q[lo:hi], summaries, retrievable[c], 8), atol=1e-12)
+
 
 class TestSelection:
     def test_top_two_of_three(self):
-        assert select_top_k(np.array([0.1, 0.5, 0.4]), np.ones(3, dtype=bool), 2) == [1, 2]
+        assert one_chunk_top_k([0.1, 0.5, 0.4], np.ones(3, dtype=bool), 2) == [1, 2]
 
     def test_fewer_past_than_k_takes_all(self):
-        assert select_top_k(np.array([0.3]), np.ones(1, dtype=bool), 8) == [0]
+        assert one_chunk_top_k([0.3], np.ones(1, dtype=bool), 8) == [0]
 
     def test_tie_breaks_toward_earlier_block(self):
-        assert select_top_k(np.array([0.5, 0.5]), np.ones(2, dtype=bool), 1) == [0]
+        assert one_chunk_top_k([0.5, 0.5], np.ones(2, dtype=bool), 1) == [0]
 
     def test_nomem_selects_nothing(self):
-        assert select_top_k(np.array([0.9, 0.1]), np.ones(2, dtype=bool), 2, variant="nomem") == []
+        assert one_chunk_top_k([0.9, 0.1], np.ones(2, dtype=bool), 2, variant="nomem") == []
 
     def test_random_respects_past_mask_and_count(self):
         rng = np.random.default_rng(10)
         retrievable = np.array([True, True, True, False, False])
         for _ in range(50):
-            sel = select_top_k(np.zeros(5), retrievable, 2, variant="random", rng=rng)
+            sel = one_chunk_top_k(np.zeros(5), retrievable, 2, variant="random", rng=rng)
             assert len(sel) == 2 and sel == sorted(sel)
             assert all(retrievable[j] for j in sel)
 
     def test_only_past_blocks_selected_by_score(self):
         retrievable = np.array([True, False, True])
-        assert select_top_k(np.array([0.1, 0.9, 0.2]), retrievable, 2) == [0, 2]
+        assert one_chunk_top_k([0.1, 0.9, 0.2], retrievable, 2) == [0, 2]
+
+    @pytest.mark.parametrize("variant", ["standard", "landmark"])
+    def test_selected_blocks_are_the_top_scoring_ones(self, variant):
+        """Every chunk's selection equals a loop-only float64 retrieval over the same projections."""
+        rng = np.random.default_rng(11)
+        # (L, S, M, k): L < S, ragged tail blocks, k = 0, k above the number of past blocks
+        cases = [(5, 8, 8, 2), (30, 7, 7, 1), (45, 7, 16, 2), (40, 4, 8, 0), (24, 4, 8, 9)]
+        cases += [(int(rng.integers(1, 120)), s, s + int(rng.integers(0, 20)), int(rng.integers(0, 5)))
+                  for s in rng.integers(1, 10, size=25).tolist()]
+        for trial, (length, s, m, k) in enumerate(cases):
+            p = make_params(heads=2, seed=trial)
+            x = make_x(length, seed=trial + 300)
+            cfg = SEAttnConfig(chunk_sizes=(m,), memory_block_size=s, top_k=k, variant=variant, seed=trial)
+            _, trace = se_attn_forward(x, p, cfg)
+            q, k_rows, v = (t.data for t in project_qkv(x, p))
+            lm = landmark_vector(p.d_model, LANDMARK_SEED) if variant == "landmark" else None
+            want = naive_retrieval(q, k_rows, v, s, m, k, p.d_model, landmark=lm)
+            assert [c.selected for c in trace.chunks] == want, (length, s, m, k)
 
 
 class TestForward:
