@@ -42,10 +42,6 @@ class LoRAAdapter:
         b = Tensor(np.zeros((d_out, rank), dtype=dtype), requires_grad=True)
         return cls(a=a, b=b, rank=rank, alpha=alpha, target=target)
 
-    def delta(self):
-        """Dense weight delta in the model's (d_in, d_out) layout."""
-        return (self.a.data.T @ self.b.data.T) * (self.alpha / self.rank)
-
     @property
     def parameter_count(self):
         return self.a.size + self.b.size
@@ -115,16 +111,15 @@ def apply_policy(model, policy, seed=0):
 
 
 def merge_adapters(model):
-    """Fold every adapter delta into its base matrix and detach the adapters."""
-    merged_any = False
-    for _, block in model.attention_layers():
-        for target, adapter in block.adapters.items():
-            w = block.params.matrices()[target]
-            w.data = w.data + adapter.delta().astype(w.dtype)
-            merged_any = True
-        block.adapters = {}
-    if not merged_any:
+    """Write each layer's adapter-folded matrices (``effective_params``) into
+    its base weights and detach the adapters, so the forward pass is unchanged."""
+    blocks = [block for _, block in model.attention_layers() if block.adapters]
+    if not blocks:
         raise UsageError("no adapters attached; double merge or policy never applied")
+    for block in blocks:
+        for name, w in block.effective_params().matrices().items():
+            getattr(block.params, name).data = w.data
+        block.adapters = {}
     return model
 
 

@@ -37,7 +37,6 @@ class AttentionParams:
     d: int
     rope_base: float = 10000.0
     rope_pos_scale: float = 1.0
-    use_rope: bool = True
 
     def __post_init__(self):
         if self.d_model % self.head_count != 0:
@@ -128,10 +127,9 @@ def project_qkv(x, p, start=0):
     q = matmul(x, p.w_q)
     k = matmul(x, p.w_k)
     v = matmul(x, p.w_v)
-    if p.use_rope:
-        positions = np.arange(start, start + x.shape[0], dtype=np.float64)
-        q = rope_embed(q, positions, base=p.rope_base, pos_scale=p.rope_pos_scale)
-        k = rope_embed(k, positions, base=p.rope_base, pos_scale=p.rope_pos_scale)
+    positions = np.arange(start, start + x.shape[0], dtype=np.float64)
+    q = rope_embed(q, positions, base=p.rope_base, pos_scale=p.rope_pos_scale)
+    k = rope_embed(k, positions, base=p.rope_base, pos_scale=p.rope_pos_scale)
     return q, k, v
 
 
@@ -287,13 +285,11 @@ def project_with_cache(x, p, cache, keep=None):
     return q, k, v
 
 
-def full_attention(x, p, causal=True, cache=None):
-    """Exact dense softmax attention over the whole sequence: one chunk of
+def full_attention(x, p, cache=None):
+    """Exact causal softmax attention over the whole sequence: one chunk of
     length L. A decode ``cache`` (see ``project_with_cache``) keeps every
     K/V row, and ``x`` then attends to all of them too."""
     q, k, v = project_with_cache(x, p, cache)
-    if not causal:
-        return matmul(_per_head_attention(q, k, v, None, p), p.w_o)
     return chunked_attention(q, k, v, p, k.shape[0])
 
 

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionParams, full_attention, sliding_window_attention
+from .attention import AttentionParams
 from .errors import ConfigError
-from .model import AdamW
-from .se_attn import SEAttnConfig, se_attn_forward
+from .model import AdamW, AttentionSetting
 from .tensor import Tensor, backward, mul, sum_all
 
 PROFILE_CSV_FIELDS = (
@@ -163,25 +162,14 @@ def _make_step(variant, L, d, d_model, heads, M, S, k, window, seed):
     rng = np.random.default_rng(seed + 1)
     x = Tensor(rng.standard_normal((L, d)).astype(np.float32))
     opt = AdamW(params.matrices(), lr=1e-4)
-    se_cfg = None
-    if variant in ("se", "nomem"):
-        se_cfg = SEAttnConfig(
-            chunk_sizes=(min(M, L),),
-            memory_block_size=min(S, L),
-            top_k=k if variant == "se" else 0,
-            variant="standard" if variant == "se" else "nomem",
-            seed=seed,
-        )
+    setting = AttentionSetting.named(
+        variant, window=window, chunk_sizes=(min(M, L),), block_size=min(S, L), top_k=k, seed=seed
+    )
 
     def one_step(step_index):
         """One training step; returns the number of graph nodes its backward replayed."""
         opt.zero_grad()
-        if variant == "full":
-            out = full_attention(x, params, causal=True)
-        elif variant == "sw":
-            out = sliding_window_attention(x, params, window=window)
-        else:
-            out, _ = se_attn_forward(x, params, se_cfg, rng=np.random.default_rng([seed, step_index]))
+        out, _ = setting.attend(x, params, rng=np.random.default_rng([seed, step_index]))
         nodes = backward(sum_all(mul(out, out)))
         opt.step()
         return nodes

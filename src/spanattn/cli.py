@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .adaptation import apply_policy, merge_adapters
+from .attention import AttentionParams
 from .bench import _single_thread_region, run_profile_grid, write_profile_csv
-from .config import config_hash, load_config
+from .config import config_hash, load_config, read_text
 from .errors import ConfigError, GenerationError, InputError, NumericError, UsageError
 from .evalgen import generate_task, perplexity, score_recall
 from .model import (
@@ -174,6 +175,8 @@ def cmd_eval(cfg, out_dir, checkpoint, eval_attn):
         setting = AttentionSetting(kind="full")
         attn_label = "full"
 
+    # every attention layer leaves one retrieval trace per forward under SE attention, none otherwise
+    traces_per_forward = len(model.attention_layers()) if setting.kind == "se" else 0
     rows = []
     trace_counts = {}
     for task in cfg.eval.tasks:
@@ -185,10 +188,7 @@ def cmd_eval(cfg, out_dir, checkpoint, eval_attn):
             else:
                 recalls = [_eval_one_instance(model, setting, task, length, i, cfg) for i in range(cfg.eval.n_instances)]
                 rows.append((task, length, "recall", float(np.mean(recalls))))
-            probe = generate_task(task if task != "ppl" else "niah_single_1", length if task != "ppl" else max(length, 128),
-                                  seed=_instance_seed(cfg.seed, 13, task, length))
-            _, traces = model_forward(model, np.asarray(probe.tokens()), setting, step=0, collect_traces=True)
-            trace_counts[f"{task}@{length}"] = len(traces)
+            trace_counts[f"{task}@{length}"] = traces_per_forward
 
     with open(out_dir / "results.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -247,11 +247,11 @@ def cmd_bench(cfg, out_dir):
 
 
 def cmd_trace(cfg, out_dir, checkpoint, input_path):
-    if cfg.attention.variant not in ("se", "se-random", "se-lm", "nomem"):
+    setting = cfg.attention_setting()
+    if setting.kind != "se":
         raise UsageError("trace needs a span-expanded attention variant in the config")
     if input_path:
-        text = Path(input_path).read_text()
-        tokens = np.asarray(encode(text))
+        tokens = np.asarray(encode(read_text(input_path, InputError)))
     else:
         inst = generate_task("niah_single_1", cfg.train.seq_len, seed=_instance_seed(cfg.seed, 17))
         tokens = np.asarray(inst.tokens())
@@ -263,18 +263,15 @@ def cmd_trace(cfg, out_dir, checkpoint, input_path):
         model, _ = load_checkpoint(ckpt_path)
         for p in model.named_parameters().values():
             p.requires_grad = False
-        _, traces = model_forward(model, tokens, cfg.attention_setting(), step=0, collect_traces=True)
+        _, traces = model_forward(model, tokens, setting, step=0, collect_traces=True)
         if not traces:
             raise UsageError("the model produced no retrieval traces (no attention layers?)")
         trace = traces[0][1]
     else:
-        from .attention import AttentionParams
-        from .se_attn import se_attn_forward
-
         emb = np.random.default_rng([cfg.seed, 23]).standard_normal((cfg.model.vocab, cfg.model.d)).astype(np.float32)
         x = Tensor(emb[tokens])
         params = AttentionParams.random(cfg.model.d, cfg.model.d_model, head_count=cfg.model.heads, seed=cfg.seed)
-        _, trace = se_attn_forward(x, params, cfg.se_config(), rng=np.random.default_rng([cfg.seed, 0]))
+        _, trace = setting.attend(x, params, rng=np.random.default_rng([cfg.seed, 0]))
 
     with open(out_dir / "trace.json", "w") as f:
         f.write(trace.to_json() + "\n")
@@ -330,7 +327,10 @@ def main(argv=None):
         cfg = load_config(args.config)
         env_seed = os.environ.get("SPANATTN_SEED")
         if env_seed is not None:
-            cfg.with_seed(int(env_seed))
+            try:
+                cfg.with_seed(int(env_seed))
+            except ValueError:
+                raise ConfigError(f"SPANATTN_SEED: {env_seed!r} is not an integer") from None
         if args.seed is not None:
             cfg.with_seed(args.seed)
 

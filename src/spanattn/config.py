@@ -9,16 +9,14 @@ line number. Nothing is instantiated until the whole file validates.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .bench import VARIANT_NAMES as _BENCH_VARIANTS
 from .errors import ConfigError
 from .evalgen import GENERATED_TASKS as _TASK_NAMES
-from .model import AttentionSetting, ModelConfig
-from .se_attn import SEAttnConfig
+from .model import ATTENTION_VARIANTS, AttentionSetting, ModelConfig
 from .vocab import VOCAB_SIZE
 
-ATTENTION_VARIANTS = ("full", "sw", "nomem", "se", "se-random", "se-lm", "s2")
 POLICY_NAMES = ("none", "lora", "lora_plus", "hylora")
 DATA_NAMES = ("memorize", "niah_single_1", "niah_single_2", "niah_single_3")
 
@@ -104,46 +102,13 @@ class ExperimentConfig:
         return self
 
     def model_config(self, dtype="float32"):
-        m = self.model
-        return ModelConfig(
-            layers=m.layers,
-            d=m.d,
-            d_model=m.d_model,
-            heads=m.heads,
-            blend_ratio=m.blend_ratio,
-            vocab=m.vocab,
-            state_dim=m.state_dim,
-            conv_width=m.conv_width,
-            tied_head=m.tied_head,
-            seed=self.seed,
-            dtype=dtype,
-        )
+        return ModelConfig(**asdict(self.model), seed=self.seed, dtype=dtype)
 
-    def se_config(self, variant_name=None):
-        name = self.attention.variant if variant_name is None else variant_name
-        se_variant = {"se": "standard", "se-random": "random", "se-lm": "landmark", "nomem": "nomem"}[name]
-        return SEAttnConfig(
-            chunk_sizes=self.attention.chunk_sizes,
-            memory_block_size=self.attention.block_size,
-            top_k=self.attention.top_k,
-            variant=se_variant,
-            seed=self.seed,
+    def attention_setting(self):
+        a = self.attention
+        return AttentionSetting.named(
+            a.variant, window=a.window, chunk_sizes=a.chunk_sizes, block_size=a.block_size, top_k=a.top_k, seed=self.seed
         )
-
-    def attention_setting(self, variant_name=None):
-        name = self.attention.variant if variant_name is None else variant_name
-        if name == "full":
-            return AttentionSetting(kind="full")
-        if name == "sw":
-            return AttentionSetting(kind="sw", window=self.attention.window)
-        if name == "s2":
-            raise ConfigError(
-                "the shifted-sparse attention baseline is not available in this package; "
-                "choose one of full, sw, nomem, se, se-random, se-lm"
-            )
-        if name in ("se", "se-random", "se-lm", "nomem"):
-            return AttentionSetting(kind="se", se_cfg=self.se_config(name))
-        raise ConfigError(f"unknown attention variant {name!r}")
 
     def adapter_policy(self):
         if self.adaptation.policy == "none":
@@ -273,15 +238,14 @@ def parse_config_text(text, origin="config"):
 def _cross_validate(cfg, origin):
     try:
         model_cfg = cfg.model_config()
-        cfg.attention_setting()
+        setting = cfg.attention_setting()
     except ConfigError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
-    if cfg.attention.variant in ("se", "se-random", "se-lm", "nomem"):
-        if model_cfg.layer_kinds().count("attn") == 0:
-            raise ConfigError(
-                f"{origin}: a span-expanded experiment needs at least one attention layer "
-                f"(layers={cfg.model.layers}, blend_ratio={cfg.model.blend_ratio} gives none)"
-            )
+    if setting.kind == "se" and model_cfg.layer_kinds().count("attn") == 0:
+        raise ConfigError(
+            f"{origin}: a span-expanded experiment needs at least one attention layer "
+            f"(layers={cfg.model.layers}, blend_ratio={cfg.model.blend_ratio} gives none)"
+        )
     if cfg.train.seq_len < 2:
         raise ConfigError(f"{origin}: train.seq_len must be >= 2")
     for fname in ("batch_size", "log_every"):
@@ -293,10 +257,22 @@ def _cross_validate(cfg, origin):
         raise ConfigError(f"{origin}: eval.n_instances must be >= 1")
 
 
+def read_text(path, error):
+    """UTF-8 text of a file; a missing file raises FileNotFoundError, any other failure ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise error(f"{path}: file: cannot be read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: file: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_config(path):
     try:
-        with open(path) as f:
-            text = f.read()
+        text = read_text(path, ConfigError)
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"config file not found: {path}") from exc
     return parse_config_text(text, origin=str(path))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .attention import AttentionParams, full_attention, sliding_window_attention
 from .errors import ConfigError, InputError, UsageError
 from .ops import causal_conv1d, cross_entropy_logits, embedding_lookup, linear_recurrence, rms_norm, sigmoid
 from .se_attn import SEAttnConfig, se_attn_forward
-from .tensor import Tensor, backward, concat, matmul, narrow, scale, transpose
+from .tensor import Tensor, backward, matmul, narrow, scale, transpose
 from .vocab import PAD_ID, VOCAB_SIZE
 
 
@@ -62,6 +62,18 @@ class ModelConfig:
         return ["attn" if (i + 1) % period == 0 else "ssm" for i in range(self.layers)]
 
 
+# config name -> (attention kind, SE-Attn variant); s2, the shifted-sparse baseline, is named only to be refused
+ATTENTION_VARIANTS = {
+    "full": ("full", None),
+    "sw": ("sw", None),
+    "nomem": ("se", "nomem"),
+    "se": ("se", "standard"),
+    "se-random": ("se", "random"),
+    "se-lm": ("se", "landmark"),
+    "s2": None,
+}
+
+
 @dataclass
 class AttentionSetting:
     """Which attention variant the model's attention blocks run."""
@@ -77,6 +89,32 @@ class AttentionSetting:
             raise ConfigError("sliding window attention needs window >= 1")
         if self.kind == "se" and self.se_cfg is None:
             raise ConfigError("se attention needs an SEAttnConfig")
+
+    @classmethod
+    def named(cls, name, *, window, chunk_sizes, block_size, top_k, seed):
+        """The setting of an ``ATTENTION_VARIANTS`` name; only the arguments its kind uses are read."""
+        if name not in ATTENTION_VARIANTS:
+            raise ConfigError(f"unknown attention variant {name!r}")
+        if ATTENTION_VARIANTS[name] is None:
+            available = ", ".join(n for n, v in ATTENTION_VARIANTS.items() if v is not None)
+            raise ConfigError(
+                f"the shifted-sparse attention baseline is not available in this package; choose one of {available}"
+            )
+        kind, se_variant = ATTENTION_VARIANTS[name]
+        if kind != "se":
+            return cls(kind, window=window if kind == "sw" else 0)
+        se_cfg = SEAttnConfig(chunk_sizes, memory_block_size=block_size, top_k=top_k, variant=se_variant, seed=seed)
+        return cls(kind, se_cfg=se_cfg)
+
+    def attend(self, x, p, rng=None, cache=None):
+        """This variant's attention over ``x`` with projections ``p``: (output,
+        retrieval trace or None). ``rng`` draws SE-Attn's chunk size and random
+        retrieval; a decode ``cache`` (full and sw only) keeps the K/V rows."""
+        if self.kind == "full":
+            return full_attention(x, p, cache=cache), None
+        if self.kind == "sw":
+            return sliding_window_attention(x, p, self.window, cache=cache), None
+        return se_attn_forward(x, p, self.se_cfg, rng=rng)
 
 
 class SSMLayer:
@@ -135,26 +173,12 @@ class AttentionLayer:
     """norm -> attention variant + residual; LoRA deltas fold into the projections."""
 
     def __init__(self, cfg, rng):
-        d, dm = cfg.d, cfg.d_model
-        dt = cfg.np_dtype
-
-        def init(rows, cols):
-            return Tensor((rng.standard_normal((rows, cols)) / math.sqrt(rows)).astype(dt), requires_grad=True)
-
-        self.norm = Tensor(np.ones(d, dtype=dt), requires_grad=True)
-        self.params = AttentionParams(
-            w_q=init(d, dm),
-            w_k=init(d, dm),
-            w_v=init(d, dm),
-            w_o=init(dm, d),
-            head_count=cfg.heads,
-            d_model=dm,
-            d=d,
-            rope_base=cfg.rope_base,
-            rope_pos_scale=cfg.rope_pos_scale,
+        self.norm = Tensor(np.ones(cfg.d, dtype=cfg.np_dtype), requires_grad=True)
+        self.params = AttentionParams.random(
+            cfg.d, cfg.d_model, head_count=cfg.heads, seed=rng, dtype=cfg.np_dtype, requires_grad=True,
+            rope_base=cfg.rope_base, rope_pos_scale=cfg.rope_pos_scale,
         )
         self.adapters = {}  # matrix name -> LoRAAdapter
-        self.merged = False
 
     def named_params(self, prefix):
         out = {f"{prefix}.norm": self.norm}
@@ -166,40 +190,17 @@ class AttentionLayer:
         return out
 
     def effective_params(self):
-        if not self.adapters:
-            return self.params
-        mats = {}
-        for name, w in self.params.matrices().items():
-            ad = self.adapters.get(name)
-            if ad is None:
-                mats[name] = w
-            else:
-                delta = scale(matmul(transpose(ad.a), transpose(ad.b)), ad.alpha / ad.rank)
-                mats[name] = w + delta
-        return AttentionParams(
-            w_q=mats["w_q"],
-            w_k=mats["w_k"],
-            w_v=mats["w_v"],
-            w_o=mats["w_o"],
-            head_count=self.params.head_count,
-            d_model=self.params.d_model,
-            d=self.params.d,
-            rope_base=self.params.rope_base,
-            rope_pos_scale=self.params.rope_pos_scale,
-            use_rope=self.params.use_rope,
-        )
+        """The projections with every adapter folded in: W + (alpha/rank) * (B A)^T."""
+        mats = self.params.matrices()
+        folded = {
+            name: mats[name] + scale(matmul(transpose(ad.a), transpose(ad.b)), ad.alpha / ad.rank)
+            for name, ad in self.adapters.items()
+        }
+        return replace(self.params, **folded)
 
     def forward(self, x, setting, rng=None, cache=None):
         """The block over ``x``; a decode ``cache`` (full and sw only) keeps the K/V rows."""
-        h = rms_norm(x, self.norm)
-        p = self.effective_params()
-        trace = None
-        if setting.kind == "full":
-            out = full_attention(h, p, causal=True, cache=cache)
-        elif setting.kind == "sw":
-            out = sliding_window_attention(h, p, window=setting.window, cache=cache)
-        else:
-            out, trace = se_attn_forward(h, p, setting.se_cfg, rng=rng)
+        out, trace = setting.attend(rms_norm(x, self.norm), self.effective_params(), rng=rng, cache=cache)
         return x + out, trace
 
 

@@ -113,7 +113,7 @@ def test_criterion_3_causality_suite():
 
         # token granularity for the dense variants
         for fn in (
-            lambda v: full_attention(Tensor(v), p, causal=True).data,
+            lambda v: full_attention(Tensor(v), p).data,
             lambda v: sliding_window_attention(Tensor(v), p, window=7).data,
             lambda v: se_attn_forward(Tensor(v), p, SEAttnConfig(chunk_sizes=(12,), memory_block_size=4,
                                                                  variant="nomem", seed=seed))[0].data,
@@ -414,6 +414,7 @@ def _pretrain_to_band(cfg, seed):
     return base, step, _full_attn_recall(base, ABL["band_probe_ctx"], ABL["band_probe_n"], seed0=555_000)
 
 
+@pytest.mark.slow  # about 10 minutes of CPU
 def test_criterion_8_ablation_ordering():
     t0 = time.time()
     results = {"se": [], "random": [], "nomem": []}

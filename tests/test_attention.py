@@ -36,18 +36,23 @@ def nomem_attention(x, p, chunk):
 def test_single_token_output_is_value_row():
     p = make_params()
     x = make_x(1)
-    out = full_attention(x, p, causal=True)
+    out = full_attention(x, p)
     expected = (x.data @ p.w_v.data) @ p.w_o.data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
 def test_noncausal_no_rope_is_permutation_invariant():
-    p = make_params(use_rope=False)
+    p = make_params()
+
+    def unmasked_unrotated(x):
+        q, k, v = (matmul(x, w) for w in (p.w_q, p.w_k, p.w_v))
+        return matmul(_per_head_attention(q, k, v, None, p), p.w_o)
+
     x = make_x(6)
-    out = full_attention(x, p, causal=False)
+    out = unmasked_unrotated(x)
     permuted = x.data.copy()
     permuted[[1, 4]] = permuted[[4, 1]]
-    out_perm = full_attention(Tensor(permuted), p, causal=False)
+    out_perm = unmasked_unrotated(Tensor(permuted))
     # queries move with their rows; compare with the same permutation applied
     np.testing.assert_allclose(out_perm.data[[4, 1]], out.data[[1, 4]], atol=1e-10)
     keep = [0, 2, 3, 5]
@@ -59,7 +64,8 @@ def test_noncausal_no_rope_is_permutation_invariant():
 def test_full_attention_matches_naive_loop(heads, causal):
     p = make_params(heads=heads, seed=heads)
     x = make_x(8, seed=heads)
-    out = full_attention(x, p, causal=causal)
+    # full attention is causal; the oracle with an all-zero mask is the non-causal case
+    out = full_attention(x, p) if causal else masked_oracle_attention(x, p, AdditiveMask(np.zeros((8, 8))))
     visible = np.tril(np.ones((8, 8), dtype=bool)) if causal else np.ones((8, 8), dtype=bool)
     want = naive_masked_attention(x.data, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data, heads, visible)
     np.testing.assert_allclose(out.data, want, atol=1e-6)
@@ -70,12 +76,12 @@ def test_sliding_window_saturates_to_full():
     x = make_x(10)
     np.testing.assert_allclose(
         sliding_window_attention(x, p, window=10).data,
-        full_attention(x, p, causal=True).data,
+        full_attention(x, p).data,
         atol=1e-6,
     )
     np.testing.assert_allclose(
         sliding_window_attention(x, p, window=50).data,
-        full_attention(x, p, causal=True).data,
+        full_attention(x, p).data,
         atol=1e-6,
     )
 
@@ -104,7 +110,7 @@ def test_block_diagonal_saturates_to_full():
     x = make_x(12)
     np.testing.assert_allclose(
         nomem_attention(x, p, chunk=12).data,
-        full_attention(x, p, causal=True).data,
+        full_attention(x, p).data,
         atol=1e-6,
     )
 
@@ -142,7 +148,7 @@ def test_oracle_causal_equals_full():
     p = make_params(heads=2, seed=7)
     x = make_x(9, seed=7)
     got = masked_oracle_attention(x, p, AdditiveMask.causal(9, dtype=np.float64))
-    np.testing.assert_allclose(got.data, full_attention(x, p, causal=True).data, atol=1e-10)
+    np.testing.assert_allclose(got.data, full_attention(x, p).data, atol=1e-10)
 
 
 def test_oracle_rejects_fully_masked_query():
@@ -185,7 +191,7 @@ def test_token_granularity_causality(variant):
     def run(data):
         x = Tensor(data)
         if variant == "full":
-            return full_attention(x, p, causal=True).data
+            return full_attention(x, p).data
         if variant == "sw":
             return sliding_window_attention(x, p, window=5).data
         return nomem_attention(x, p, chunk=4).data
@@ -201,7 +207,7 @@ def test_degenerate_variants_agree_pairwise():
     for seed in range(5):
         p = make_params(heads=2, seed=seed + 20)
         x = make_x(11, seed=seed + 20)
-        a = full_attention(x, p, causal=True).data
+        a = full_attention(x, p).data
         b = sliding_window_attention(x, p, window=11).data
         c = nomem_attention(x, p, chunk=11).data
         np.testing.assert_allclose(a, b, atol=1e-6)
@@ -213,8 +219,8 @@ def test_forward_is_deterministic():
     p32 = AttentionParams.random(4, 8, head_count=2, seed=0, dtype=np.float32)
     rng = np.random.default_rng(0)
     x_data = rng.standard_normal((10, 4)).astype(np.float32)
-    first = full_attention(Tensor(x_data.copy()), p32, causal=True).data
-    second = full_attention(Tensor(x_data.copy()), p32, causal=True).data
+    first = full_attention(Tensor(x_data.copy()), p32).data
+    second = full_attention(Tensor(x_data.copy()), p32).data
     assert (first == second).all()
 
 

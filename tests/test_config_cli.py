@@ -9,6 +9,7 @@ import pytest
 from spanattn.cli import main
 from spanattn.config import config_hash, parse_config_text
 from spanattn.errors import ConfigError
+from spanattn.model import ATTENTION_VARIANTS, AttentionSetting
 
 TINY_TRAIN = """
 # tiny end-to-end config
@@ -78,12 +79,28 @@ class TestConfigParsing:
         assert cfg.model.d == 24
 
     def test_variant_mapping(self):
-        cfg = parse_config_text("attention.variant = se-lm\n")
-        assert cfg.attention_setting().se_cfg.variant == "landmark"
-        cfg = parse_config_text("attention.variant = nomem\n")
-        assert cfg.attention_setting().se_cfg.variant == "nomem"
-        cfg = parse_config_text("attention.variant = sw\nattention.window = 32\n")
-        assert cfg.attention_setting().kind == "sw"
+        se_variants = {"nomem": "nomem", "se": "standard", "se-random": "random", "se-lm": "landmark"}
+        assert set(ATTENTION_VARIANTS) == {"full", "sw", "s2", *se_variants}
+        for name in ATTENTION_VARIANTS:
+            text = (
+                f"attention.variant = {name}\nattention.window = 32\nattention.chunk_sizes = 24,12\n"
+                "attention.block_size = 4\nattention.top_k = 3\nadaptation.seed = 7\n"
+            )
+            if name == "s2":
+                with pytest.raises(ConfigError, match="not available"):
+                    parse_config_text(text)
+                continue
+            setting = parse_config_text(text).attention_setting()
+            if name in se_variants:
+                assert (setting.kind, setting.window) == ("se", 0)
+                se = setting.se_cfg
+                assert (se.variant, se.chunk_sizes, se.memory_block_size, se.top_k, se.seed) == (
+                    se_variants[name], (12, 24), 4, 3, 7
+                )
+            else:
+                assert (setting.kind, setting.window, setting.se_cfg) == (name, 32 if name == "sw" else 0, None)
+        with pytest.raises(ConfigError, match="unknown attention variant 'flash'"):
+            AttentionSetting.named("flash", window=32, chunk_sizes=(16,), block_size=4, top_k=2, seed=0)
 
     def test_hash_tracks_source_text(self):
         a = parse_config_text("model.d = 8\n")
@@ -147,6 +164,31 @@ class TestCLITrain:
         assert (out1 / "checkpoint.bin").read_bytes() != (out2 / "checkpoint.bin").read_bytes()
         assert json.loads((out2 / "manifest.json").read_text())["seed"] == 99
 
+    def test_env_seed_that_is_not_an_integer_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPANATTN_SEED", "abc")
+        assert main(["train", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: SPANATTN_SEED: 'abc' is not an integer\n"
+
+    def test_a_directory_as_config_exits_one(self, tmp_path, capsys):
+        folder = tmp_path / "not_a_config"
+        folder.mkdir()
+        assert main(["train", str(folder), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {folder}: file: cannot be read") and "Traceback" not in err
+
+    def test_a_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes("model.layers = 2  # caf\u00e9\n".encode("latin-1"))
+        assert main(["train", str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: file: not UTF-8 text") and "Traceback" not in err
+
+    def test_missing_config_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        assert main(["train", str(missing), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+
     def test_invalid_config_exits_one_without_side_effects(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("model.layers = 2\nmodel.depth = 9\n")
@@ -179,7 +221,7 @@ class TestCLIEvalGenBenchTrace:
         meta = json.loads((out / "eval_meta.json").read_text())
         assert meta["eval_attention"] == "full"
         assert meta["train_variant"] == "se"
-        assert all(n == 0 for n in meta["se_traces_per_probe_forward"].values())
+        assert meta["se_traces_per_probe_forward"] == {"niah_single_1@128": 0}
         lines = (out / "results.csv").read_text().strip().splitlines()
         assert lines[0] == "task,context_length,metric,value"
         assert len(lines) == 1 + 1  # one task x one context length
@@ -190,7 +232,7 @@ class TestCLIEvalGenBenchTrace:
         assert main(["eval", str(cfg), "--out", str(out), "--checkpoint", str(ckpt), "--eval-attn", "train"]) == 0
         meta = json.loads((out / "eval_meta.json").read_text())
         assert meta["eval_attention"] == "se"
-        assert all(n >= 1 for n in meta["se_traces_per_probe_forward"].values())
+        assert meta["se_traces_per_probe_forward"] == {"niah_single_1@128": 1}  # one attention layer
 
     def test_eval_missing_checkpoint_exits_two(self, trained):
         cfg, _, tmp_path = trained
@@ -278,6 +320,17 @@ class TestCLIEvalGenBenchTrace:
         trace = RetrievalTrace.from_json((out / "trace.json").read_text())
         rows = json.loads((out / "mask_rle.json").read_text())["rows"]
         np.testing.assert_array_equal(rle_to_mask(rows).visible(), trace_pattern(trace).visible())
+
+    def test_trace_input_that_is_a_directory_exits_one(self, tmp_path, capsys):
+        folder = tmp_path / "not_a_text"
+        folder.mkdir()
+        assert main(["trace", str(write_config(tmp_path)), "--out", str(tmp_path / "out"), "--input", str(folder)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {folder}: file: cannot be read") and "Traceback" not in err
+
+    def test_trace_missing_input_exits_two(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["trace", str(cfg), "--out", str(tmp_path / "out"), "--input", str(tmp_path / "nope.txt")]) == 2
 
     def test_trace_rejects_non_se_variant(self, tmp_path):
         text = TINY_TRAIN.replace("attention.variant = se", "attention.variant = full")

@@ -190,7 +190,7 @@ class TestForward:
         x = make_x(16)
         cfg = SEAttnConfig(chunk_sizes=(16,), memory_block_size=4, top_k=2)
         out, trace = se_attn_forward(x, p, cfg)
-        np.testing.assert_allclose(out.data, full_attention(x, p, causal=True).data, atol=1e-6)
+        np.testing.assert_allclose(out.data, full_attention(x, p).data, atol=1e-6)
         assert trace.chunks[0].no_past and trace.chunks[0].selected == []
 
     def test_k_zero_equals_block_diagonal(self):
