@@ -18,6 +18,7 @@ from .ops import masked_softmax, rope_embed, softmax_rows_inplace
 from .tensor import Tensor, _accum, _node, concat, matmul, narrow, scale, transpose
 
 NEG_INF = float("-inf")
+FULL_TILE = 64  # query rows per tile of full attention
 
 
 @dataclass
@@ -127,71 +128,90 @@ def project_qkv(x, p, start=0):
     q = matmul(x, p.w_q)
     k = matmul(x, p.w_k)
     v = matmul(x, p.w_v)
-    positions = np.arange(start, start + x.shape[0], dtype=np.float64)
+    positions = range(start, start + x.shape[0])
     q = rope_embed(q, positions, base=p.rope_base, pos_scale=p.rope_pos_scale)
     k = rope_embed(k, positions, base=p.rope_base, pos_scale=p.rope_pos_scale)
     return q, k, v
 
 
 def multi_head_attention(q, k, v, bias, p, *, rows, keys):
-    """Softmax attention of gathered query rows over gathered key rows, every
-    chunk at once, as one autodiff node.
+    """Softmax attention of gathered query rows over gathered key rows for
+    every chunk, as one autodiff node.
 
     ``rows`` (C, Mq) and ``keys`` (C, K) are integer row indices: chunk c's
     query slots ``q[rows[c]]`` attend to its key slots ``k[keys[c]]`` and
     ``v[keys[c]]`` under ``bias`` (C, Mq, K), an additive {0, -inf} constant.
-    A slot of -1 is padding, which the bias must mask entirely (the whole
-    row of a query slot, the whole column of a key slot); padded query
-    slots are dropped. The output has the rows of ``q``, zero where no slot
-    names a row. Heads are column slices of width d_model/head_count.
-    Scores are materialised one head at a time, and only each head's
-    probabilities P are kept for backward, which uses
-    dS = P * (dP - rowsum(dO * O)) (Dao et al. 2022, arXiv 2205.14135) and
-    scatter-adds dK/dV, since one key row may sit in many chunks.
+    A slot of -1 is padding, and padding is trailing: a chunk's valid slots
+    come first. A query row sits in at most one chunk, a key row at most
+    once per chunk. Consecutive chunks with the same numbers of valid query
+    and key slots form a run, and each run is scored over exactly those
+    slots (views of ``rows``, ``keys`` and ``bias``), so padding costs no
+    work. The output has the rows of ``q``, zero where no slot names a row.
+    Heads are column slices of width d_model/head_count.
+    Scores are materialised one run and head at a time, and only their
+    probabilities P are kept for backward, which walks the same runs. It
+    uses dS = P * (dP - rowsum(dO * O)) (Dao et al. 2022, arXiv 2205.14135)
+    and adds dK/dV chunk by chunk, since one key row may sit in many chunks.
     """
     rows, keys = np.asarray(rows), np.asarray(keys)
     if rows.ndim != 2 or keys.ndim != 2 or bias.shape != (*rows.shape, keys.shape[1]):
         raise ShapeError(f"bias must be (C, Mq, K) for rows {rows.shape} and keys {keys.shape}, got {bias.shape}")
     heads = p.head_count
     inv = 1.0 / math.sqrt(p.head_dim)
-    valid = rows >= 0
-    qg, kg, vg = _split_heads(q.data[rows], heads), _split_heads(k.data[keys], heads), _split_heads(v.data[keys], heads)
-    og = np.empty_like(qg)
     keep = q.requires_grad or k.requires_grad or v.requires_grad
-    probs = []
-    for h in range(heads):
-        s = np.matmul(qg[h], kg[h].transpose(0, 2, 1))
-        s *= inv
-        s += bias
-        softmax_rows_inplace(s)
-        np.matmul(s, vg[h], out=og[h])
-        if keep:
-            probs.append(s)
     out = np.zeros(q.shape, dtype=q.dtype)
-    out[rows[valid]] = _merge_heads(og)[valid]
+    runs = []
+    for first, stop, n_q, n_k in _runs(rows, keys):
+        r, kk = rows[first:stop, :n_q], keys[first:stop, :n_k]
+        qg, kg, vg = _split_heads(q.data[r], heads), _split_heads(k.data[kk], heads), _split_heads(v.data[kk], heads)
+        og = np.empty_like(qg)
+        probs = []
+        for h in range(heads):
+            s = np.matmul(qg[h], kg[h].transpose(0, 2, 1))
+            s *= inv
+            s += bias[first:stop, :n_q, :n_k]
+            softmax_rows_inplace(s)
+            np.matmul(s, vg[h], out=og[h])
+            if keep:
+                probs.append(s)
+        out[r] = _merge_heads(og)
+        if keep:
+            runs.append((r, kk, qg, kg, vg, og, probs))
 
     def grad_fn(g):
-        go = _split_heads(g[rows], heads)  # padded slots have P = 0, so their dO is inert
-        dq, dk, dv = np.empty_like(qg), np.empty_like(kg), np.empty_like(vg)
-        for h, ph in enumerate(probs):
-            np.matmul(ph.transpose(0, 2, 1), go[h], out=dv[h])
-            ds = np.matmul(go[h], vg[h].transpose(0, 2, 1))
-            ds -= (go[h] * og[h]).sum(axis=-1, keepdims=True)
-            ds *= ph
-            ds *= inv
-            np.matmul(ds, kg[h], out=dq[h])
-            np.matmul(ds.transpose(0, 2, 1), qg[h], out=dk[h])
-        if q.requires_grad:
-            gq = np.zeros_like(q.data)
-            gq[rows[valid]] = _merge_heads(dq)[valid]
-            _accum(q, gq)
-        for t, d in ((k, dk), (v, dv)):
-            if t.requires_grad:
-                gt = np.zeros_like(t.data)
-                np.add.at(gt, keys, _merge_heads(d))
+        grads = [np.zeros_like(t.data) if t.requires_grad else None for t in (q, k, v)]
+        gq, gk, gv = grads
+        for r, kk, qg, kg, vg, og, probs in runs:
+            go = _split_heads(g[r], heads)
+            dq, dk, dv = np.empty_like(qg), np.empty_like(kg), np.empty_like(vg)
+            for h, ph in enumerate(probs):
+                np.matmul(ph.transpose(0, 2, 1), go[h], out=dv[h])
+                ds = np.matmul(go[h], vg[h].transpose(0, 2, 1))
+                ds -= (go[h] * og[h]).sum(axis=-1, keepdims=True)
+                ds *= ph
+                ds *= inv
+                np.matmul(ds, kg[h], out=dq[h])
+                np.matmul(ds.transpose(0, 2, 1), qg[h], out=dk[h])
+            if gq is not None:
+                gq[r] = _merge_heads(dq)
+            for gt, d in ((gk, dk), (gv, dv)):
+                if gt is not None:
+                    for idx, dc in zip(kk, _merge_heads(d)):  # unique within a chunk, so += is exact
+                        gt[idx] += dc
+        for t, gt in zip((q, k, v), grads):
+            if gt is not None:
                 _accum(t, gt)
 
     return _node(out, (q, k, v), grad_fn, "multi_head_attention")
+
+
+def _runs(rows, keys):
+    """(first chunk, stop chunk, valid query slots, valid key slots) of each
+    maximal run of consecutive chunks with the same slot counts, skipping
+    runs with no query or no key."""
+    counts = np.stack([(rows >= 0).sum(axis=1), (keys >= 0).sum(axis=1)], axis=1)
+    cuts = [0, *(np.flatnonzero((counts[1:] != counts[:-1]).any(axis=1)) + 1).tolist(), len(counts)]
+    return [(a, b, *counts[a].tolist()) for a, b in zip(cuts[:-1], cuts[1:]) if counts[a].all()]
 
 
 def _split_heads(x, heads):
@@ -234,8 +254,9 @@ def chunked_attention(q, k, v, p, chunk, earlier=None, window=None):
     the chunk's own keys. Key s is visible to query t iff s <= t and, given
     a window, t - s < window. Chunks without queries are skipped. Each chunk
     has min(chunk, len(q)) query slots and as many key slots as the widest
-    chunk gathers; the slots a short chunk leaves over are -inf padding in
-    the one (chunks, slots, keys) bias, built in the model dtype.
+    chunk gathers; a chunk's valid slots come first, and the slots it leaves
+    over are trailing -inf padding in the one (chunks, slots, keys) bias,
+    built in the model dtype, which ``multi_head_attention`` never scores.
     Returns the output projection of the merged heads.
     """
     n = k.shape[0]
@@ -264,33 +285,66 @@ def project_with_cache(x, p, cache, keep=None):
     """Q/K/V of ``x`` as the rows after those a decode ``cache`` has seen.
 
     ``cache`` is a dict, empty before the first call. It holds the absolute
-    position of the next row and the rotated K/V rows kept so far (constants:
-    no gradient flows into them). The returned K/V are the kept rows followed
-    by the new ones; the cache then keeps the last ``keep`` of them (all when
-    None). With ``cache=None`` this is ``project_qkv(x, p)``.
+    position of the next row and the rotated K/V rows kept so far
+    (constants: no gradient flows into them), ``cache["k"]`` and
+    ``cache["v"]``, views of preallocated buffers that double when full.
+    The returned K/V are the kept rows followed by the new ones, written
+    into those buffers and read as a view of them, which the next call may
+    overwrite. The cache then keeps the last ``keep`` of them (all when
+    None); once a bounded cache reaches the end of its buffers, its kept rows
+    move to the front. The first call returns the new rows themselves. With
+    ``cache=None`` this is ``project_qkv(x, p)``.
     """
     if cache is None:
         return project_qkv(x, p)
     start = cache.get("position", 0)
     q, k, v = project_qkv(x, p, start)
-    if len(cache.get("k", ())):
-        k = concat([Tensor(cache["k"]), k])
-        v = concat([Tensor(cache["v"]), v])
-    if keep is None:
-        cache.update(k=k.data, v=v.data)
-    else:  # copies, so the rows no later query can see are freed
-        lo = max(0, k.shape[0] - keep)
-        cache.update(k=k.data[lo:].copy(), v=v.data[lo:].copy())
-    cache["position"] = start + x.shape[0]
+    m = x.shape[0]
+    lo, hi = cache.get("rows", (0, 0))
+    if hi > lo:
+        size = len(cache["k_buffer"])
+        if hi + m > size:  # move the kept rows to the front, of buffers doubled until the new rows fit
+            while hi - lo + m > size:
+                size *= 2
+            for name in ("k_buffer", "v_buffer"):
+                old = cache[name]
+                new = old if size == len(old) else np.empty((size, old.shape[1]), dtype=old.dtype)
+                new[: hi - lo] = old[lo:hi]
+                cache[name] = new
+            lo, hi = 0, hi - lo
+        k, v = (_append_rows(cache[name], lo, hi, t) for name, t in (("k_buffer", k), ("v_buffer", v)))
+        hi += m
+    else:  # nothing kept: attend over the new rows alone, then keep them in buffers twice their size
+        lo, hi = 0, m if keep is None else min(keep, m)
+        for name, t in (("k_buffer", k), ("v_buffer", v)):
+            cache[name] = np.empty((2 * hi, t.shape[1]), dtype=t.dtype)
+            cache[name][:hi] = t.data[m - hi :]
+    if keep is not None:
+        lo = max(lo, hi - keep)
+    cache.update(rows=(lo, hi), k=cache["k_buffer"][lo:hi], v=cache["v_buffer"][lo:hi], position=start + m)
     return q, k, v
 
 
+def _append_rows(buf, lo, hi, new):
+    """Write ``new`` into a cache buffer after its rows [lo, hi) and return
+    all of them as a view; the gradient flows into ``new`` only."""
+    m = new.shape[0]
+    buf[hi : hi + m] = new.data
+    return _node(buf[lo : hi + m], (new,), lambda g: _accum(new, g[-m:]), "kv_cache")
+
+
 def full_attention(x, p, cache=None):
-    """Exact causal softmax attention over the whole sequence: one chunk of
-    length L. A decode ``cache`` (see ``project_with_cache``) keeps every
-    K/V row, and ``x`` then attends to all of them too."""
+    """Exact causal softmax attention in query tiles of ``FULL_TILE`` rows.
+
+    Tile i attends to the keys before it, range (0, start_i), and to its
+    own: ``sliding_window_attention`` with an unbounded window. No tile
+    gathers a key past its last query, so about L^2/2 scores are computed,
+    not L^2. A decode ``cache`` (see ``project_with_cache``) keeps every K/V
+    row, and ``x`` then attends to all of them too.
+    """
     q, k, v = project_with_cache(x, p, cache)
-    return chunked_attention(q, k, v, p, k.shape[0])
+    earlier = [[(0, start)] for start in range(0, k.shape[0], FULL_TILE)]
+    return chunked_attention(q, k, v, p, FULL_TILE, earlier)
 
 
 def masked_oracle_attention(x, p, mask):

@@ -2,8 +2,9 @@
 
 One profiled step = forward + backward + optimizer update of a single
 attention layer on a random sequence, which keeps the scaling signal clean
-of unrelated model costs. Timing uses the median over >= 5 repetitions
-after warm-up; the measured region is pinned to one thread of the loaded
+of unrelated model costs. Timing uses the median over >= 5 repetitions,
+each after a warm-up step of its own point and interleaved across a grid's
+points; the measured region is pinned to one thread of the loaded
 OpenBLAS, set and confirmed through its own C API. Peak memory is sampled
 with tracemalloc (numpy buffers are traced) in a separate pass so the
 instrumentation never pollutes the timings.
@@ -15,7 +16,7 @@ import csv
 import ctypes
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,53 +185,65 @@ def profile_step(variant, L, d=32, d_model=32, heads=1, M=128, S=32, k=4, window
     Out-of-memory shows up as a capped record (NaN timings, -1 bytes)
     rather than an exception.
     """
-    if reps < 5:
-        raise ConfigError("profile records need at least 5 repetitions")
-    inp = CostModelInput(variant=variant, L=L, M=M, S=S, k=k, d_model=d_model, window=window)
-    est = analytic_cost(inp)
-    try:
-        one_step = _make_step(variant, L, d, d_model, heads, M, S, k, window, seed)
-        with _single_thread_region():
-            for i in range(warmup):
-                one_step(i)
-            times = []
-            for i in range(reps):
-                t0 = time.perf_counter()
-                nodes = one_step(warmup + i)
-                times.append(time.perf_counter() - t0)
-        peak = 0
-        if measure_memory:
-            tracemalloc.start()
-            tracemalloc.reset_peak()
-            one_step(warmup + reps)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-    except MemoryError:
-        if tracemalloc.is_tracing():
-            tracemalloc.stop()
-        return ProfileRecord(
-            variant=variant, L=L, M=M, S=S, k=k,
-            median_s=float("nan"), min_s=float("nan"), max_s=float("nan"),
-            peak_bytes=-1, reps=reps, analytic_ops=est.ops, oom=True,
-        )
-    return ProfileRecord(
-        variant=variant, L=L, M=M, S=S, k=k,
-        median_s=float(np.median(times)), min_s=float(min(times)), max_s=float(max(times)),
-        peak_bytes=int(peak), reps=reps, analytic_ops=est.ops, graph_nodes=nodes,
-    )
+    return run_profile_grid([variant], [L], d=d, d_model=d_model, heads=heads, M=M, S=S, k=k, window=window,
+                            reps=reps, warmup=warmup, seed=seed, measure_memory=measure_memory)[0]
 
 
 def run_profile_grid(variants, lengths, d=32, d_model=32, heads=1, M=128, S=32, k=4,
-                     window=1024, reps=5, seed=0, measure_memory=True):
+                     window=1024, reps=5, warmup=1, seed=0, measure_memory=True):
+    """One ``profile_step`` record per (variant, L), in that order.
+
+    The repetitions run round-robin across the points, so a slow spell of
+    the host spreads over every point instead of bending one variant's
+    slope. Each timed step follows ``warmup`` untimed steps of its own
+    point, so it runs on warm caches, as it would back to back, and not on
+    what the previous point left. Peak memory is then sampled point by point.
+    """
+    if reps < 5:
+        raise ConfigError("profile records need at least 5 repetitions")
+    points = [(variant, L) for variant in variants for L in lengths]
+    estimates = {
+        pt: analytic_cost(CostModelInput(variant=pt[0], L=pt[1], M=M, S=S, k=k, d_model=d_model, window=window))
+        for pt in points
+    }
+    steps, times, nodes, peaks = {}, {pt: [] for pt in points}, {}, {}
+    for pt in points:
+        with suppress(MemoryError):
+            steps[pt] = _make_step(*pt, d, d_model, heads, M, S, k, window, seed)
+    with _single_thread_region():
+        for i in range(reps):
+            for pt in list(steps):
+                try:
+                    for j in range(warmup):
+                        steps[pt](i * (warmup + 1) + j)
+                    t0 = time.perf_counter()
+                    nodes[pt] = steps[pt](i * (warmup + 1) + warmup)
+                    times[pt].append(time.perf_counter() - t0)
+                except MemoryError:
+                    del steps[pt]
+    for pt in list(steps) if measure_memory else ():
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            steps[pt](reps * (warmup + 1))
+            peaks[pt] = tracemalloc.get_traced_memory()[1]
+        except MemoryError:
+            del steps[pt]
+        finally:
+            tracemalloc.stop()
     records = []
-    for variant in variants:
-        for L in lengths:
-            records.append(
-                profile_step(
-                    variant, L, d=d, d_model=d_model, heads=heads, M=M, S=S, k=k,
-                    window=window, reps=reps, seed=seed, measure_memory=measure_memory,
-                )
-            )
+    for pt in points:
+        variant, L = pt
+        common = dict(variant=variant, L=L, M=M, S=S, k=k, reps=reps, analytic_ops=estimates[pt].ops)
+        if pt in steps:
+            t = times[pt]
+            records.append(ProfileRecord(
+                **common, median_s=float(np.median(t)), min_s=float(min(t)), max_s=float(max(t)),
+                peak_bytes=int(peaks.get(pt, 0)), graph_nodes=nodes[pt],
+            ))
+        else:
+            nan = float("nan")
+            records.append(ProfileRecord(**common, median_s=nan, min_s=nan, max_s=nan, peak_bytes=-1, oom=True))
     return records
 
 

@@ -49,21 +49,22 @@ def rope_embed(t, positions, base=10000.0, pos_scale=1.0):
 
     Pair i of a width-d row turns by angle ``position * base**(-2i/d)``.
     ``pos_scale`` > 1 compresses positions (linear interpolation for context
-    extension); the default leaves them untouched.
+    extension); the default leaves them untouched. A ``range`` of
+    nonnegative integers reads its cos/sin rows from a table cached per
+    (width, base, pos_scale, dtype); other positions compute their own.
     """
     d = t.data.shape[-1]
     if d % 2 != 0:
         raise ConfigError(f"rotary embedding needs an even width, got {d}")
-    pos = np.asarray(positions, dtype=np.float64) / float(pos_scale)
-    if pos.shape[0] != t.data.shape[0]:
+    if len(positions) != t.data.shape[0]:
         raise ShapeError("positions length must match the sequence length")
-    if np.any(pos < 0):
-        raise ConfigError("positions must be nonnegative")
-    half = d // 2
-    freqs = float(base) ** (-2.0 * np.arange(half, dtype=np.float64) / d)
-    ang = np.outer(pos, freqs)
-    cos = np.cos(ang).astype(t.dtype)
-    sin = np.sin(ang).astype(t.dtype)
+    if isinstance(positions, range) and positions.step == 1 and positions.start >= 0:
+        cos, sin = (a[positions.start : positions.stop] for a in _rope_table(d, positions.stop, base, pos_scale, t.dtype))
+    else:
+        pos = np.asarray(positions, dtype=np.float64)
+        if np.any(pos < 0):
+            raise ConfigError("positions must be nonnegative")
+        cos, sin = _rope_angles(pos, d, base, pos_scale, t.dtype)
 
     x0 = t.data[:, 0::2]
     x1 = t.data[:, 1::2]
@@ -80,6 +81,30 @@ def rope_embed(t, positions, base=10000.0, pos_scale=1.0):
         _accum(t, gt)
 
     return _node(out, (t,), grad_fn, "rope_embed")
+
+
+_ROPE_TABLES = {}  # (width, base, pos_scale, dtype) -> read-only cos and sin of positions 0, 1, ...
+
+
+def _rope_table(d, stop, base, pos_scale, dtype):
+    """The cached cos/sin table of at least ``stop`` positions, doubled when
+    too short. Its rows equal ``_rope_angles`` of the same positions bit for
+    bit, and it is read-only because every caller shares it."""
+    key = (d, float(base), float(pos_scale), np.dtype(dtype))
+    table = _ROPE_TABLES.get(key)
+    if table is None or len(table[0]) < stop:
+        size = max(stop, 2 * len(table[0])) if table else stop
+        table = _ROPE_TABLES[key] = _rope_angles(np.arange(size, dtype=np.float64), d, base, pos_scale, dtype)
+        for a in table:
+            a.flags.writeable = False
+    return table
+
+
+def _rope_angles(pos, d, base, pos_scale, dtype):
+    """cos and sin, in ``dtype``, of the angles of float64 positions ``pos``."""
+    freqs = float(base) ** (-2.0 * np.arange(d // 2, dtype=np.float64) / d)
+    ang = np.outer(pos / float(pos_scale), freqs)
+    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
 
 def causal_conv1d(x, kernel, bias, max_width=None, history=None):
@@ -177,9 +202,10 @@ def rms_norm(x, weight, eps=1e-6):
 
 
 def sigmoid(x):
-    xd = x.data
-    out = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))), np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
-    out = out.astype(x.dtype)
+    """Logistic function as 0.5 * (1 + tanh(x/2)): one transcendental, finite for every finite x."""
+    out = np.tanh(x.data * 0.5)
+    out += 1.0
+    out *= 0.5
 
     def grad_fn(g):
         _accum(x, g * out * (1.0 - out))

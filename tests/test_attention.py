@@ -325,3 +325,120 @@ def test_a_decode_step_computes_one_row_of_scores(monkeypatch):
     chunked_attention(narrow(q, 0, 49, 50), k, v, p, 50)
     chunked_attention(narrow(q, 0, 47, 50), k, v, p, 16)
     assert shapes == [(1, 1, 50), (2, 3, 16)]  # query slots: min(chunk, len(q))
+
+
+TILE = 4  # FULL_TILE in the tests below, so that short sequences span many tiles
+TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+@pytest.fixture
+def small_tile(monkeypatch):
+    import spanattn.attention as attention_mod
+
+    monkeypatch.setattr(attention_mod, "FULL_TILE", TILE)
+
+
+def _worst(got, want):
+    """Largest absolute difference, relative to the reference's largest entry when that exceeds 1."""
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
+def test_tiled_full_attention_matches_the_oracle_with_gradients(small_tile, dtype, length):
+    p = AttentionParams.random(4, 8, head_count=2, seed=50, dtype=dtype, requires_grad=True)
+    rng = np.random.default_rng(50 + length)
+    x_data, coef = rng.standard_normal((length, 4)).astype(dtype), rng.standard_normal((length, 4)).astype(dtype)
+
+    def run(attend):
+        x = Tensor(x_data, requires_grad=True)
+        for w in p.matrices().values():
+            w.grad = None
+        out = attend(x)
+        backward(sum_all(mul(out, Tensor(coef))))
+        return [out.data, x.grad, *(w.grad.copy() for w in p.matrices().values())]
+
+    got = run(lambda x: full_attention(x, p))
+    want = run(lambda x: masked_oracle_attention(x, p, AdditiveMask.causal(length, dtype=dtype)))
+    for name, g, w in zip(("out", "x", "w_q", "w_k", "w_v", "w_o"), got, want):
+        assert _worst(g, w) < TOL[dtype], name
+
+
+def test_no_tile_gathers_keys_past_its_last_query(small_tile, monkeypatch):
+    import spanattn.attention as attention_mod
+
+    calls = []
+    fused = attention_mod.multi_head_attention
+
+    def spy(q, k, v, bias, p, *, rows, keys):
+        calls.append((rows, keys))
+        return fused(q, k, v, bias, p, rows=rows, keys=keys)
+
+    monkeypatch.setattr(attention_mod, "multi_head_attention", spy)
+    p = make_params(heads=2)
+    for length in (1, TILE, 3 * TILE + 5, 40):
+        calls.clear()
+        full_attention(make_x(length), p)
+        (rows, keys), = calls
+        scores = 0
+        for r, kk in zip(rows, keys):
+            r, kk = r[r >= 0], kk[kk >= 0]
+            assert kk.max() <= r.max()  # the queries are every row: key position = row index
+            scores += p.head_count * len(r) * len(kk)
+        assert scores <= p.head_count * length * (length + TILE) / 2
+
+
+def test_mixed_key_counts_match_a_per_chunk_loop():
+    from spanattn.attention import multi_head_attention
+
+    # (query rows, key rows) per chunk: chunks 0-1 form one run, chunk 2 has fewer keys,
+    # chunk 4 fewer queries, chunk 5 none; row 13 is named by no slot
+    chunks = [
+        ([0, 1, 2], [0, 1, 2, 3]),
+        ([3, 4, 5], [1, 4, 5, 6]),
+        ([6, 7, 8], [2, 7]),
+        ([9, 10, 11], [0, 3, 8, 9]),
+        ([12], [5, 10, 12, 13]),
+        ([], [0, 1, 2]),
+    ]
+    p = make_params(heads=2, seed=51)
+    rng = np.random.default_rng(51)
+    data = {name: rng.standard_normal((14, 8)) for name in "qkv"}
+    coef = rng.standard_normal((14, 8))
+    rows, keys, bias = np.full((6, 3), -1), np.full((6, 4), -1), np.full((6, 3, 4), -np.inf)
+    for c, (r, kk) in enumerate(chunks):
+        rows[c, : len(r)], keys[c, : len(kk)] = r, kk
+        seen = rng.random((len(r), len(kk))) < 0.7
+        seen[:, 0] = True
+        bias[c, : len(r), : len(kk)] = np.where(seen, 0.0, -np.inf)
+
+    def run(calls):
+        leaves = {name: Tensor(a, requires_grad=True) for name, a in data.items()}
+        outs = [multi_head_attention(*leaves.values(), b, p, rows=r, keys=kk) for b, r, kk in calls]
+        total = outs[0]
+        for o in outs[1:]:
+            total = total + o
+        backward(sum_all(mul(total, Tensor(coef))))
+        return [total.data, *(leaves[name].grad for name in "qkv")]
+
+    fused = run([(bias, rows, keys)])
+    per_chunk = run([
+        (bias[c : c + 1, : len(r), : len(kk)], rows[c : c + 1, : len(r)], keys[c : c + 1, : len(kk)])
+        for c, (r, kk) in enumerate(chunks)
+        if r
+    ])
+    for name, got, want in zip(("out", "q", "k", "v"), fused, per_chunk):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    want = np.zeros((14, 8))
+    for c, (r, kk) in enumerate(chunks):
+        if r:
+            q, k, v = (Tensor(data[name][idx]) for name, idx in (("q", r), ("k", kk), ("v", kk)))
+            want[r] = _per_head_attention(q, k, v, bias[c, : len(r), : len(kk)], p).data
+    np.testing.assert_allclose(fused[0], want, rtol=1e-12, atol=1e-12)
+
+
+def test_tiled_full_attention_is_one_node(small_tile):
+    p = AttentionParams.random(4, 8, head_count=2, seed=52, dtype=np.float64, requires_grad=True)
+    counts = [backward(sum_all(full_attention(make_x(length, seed=52), p))) for length in (TILE - 1, 10 * TILE + 1)]
+    assert counts[0] == counts[1]

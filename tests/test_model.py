@@ -355,6 +355,26 @@ class TestCachedDecoding:
                 pos += n
         assert worst < DECODE_TOL[dtype]
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_feeds_that_straddle_a_full_attention_tile_match_a_re_forward(self, monkeypatch, dtype):
+        import spanattn.attention as attention_mod
+
+        monkeypatch.setattr(attention_mod, "FULL_TILE", 4)
+        model = HybridModel(tiny_config(layers=4, dtype=dtype, seed=3))
+        rng = np.random.default_rng(24)
+        worst = 0.0
+        for prompt_len in (1, 3, 4, 6, 9):
+            tokens = rng.integers(0, 32, size=prompt_len + 24)
+            cache = {}
+            model_forward(model, tokens[:prompt_len], DECODE_SETTINGS["full"], cache=cache)
+            pos = prompt_len
+            for n in (3, 5, 2, 9, 1, 4):  # most feeds cross the boundary after a multiple of 4
+                got = model_forward(model, tokens[pos : pos + n], DECODE_SETTINGS["full"], cache=cache).data
+                want = model_forward(model, tokens[: pos + n], DECODE_SETTINGS["full"]).data[pos:]
+                worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+                pos += n
+        assert worst < DECODE_TOL[dtype]
+
     @pytest.mark.parametrize("kind", ["full", "sw"])
     def test_greedy_generate_emits_the_re_forward_tokens(self, kind):
         for seed in range(4):
@@ -377,3 +397,40 @@ class TestCachedDecoding:
         model = HybridModel(tiny_config())
         with pytest.raises(UsageError):
             model_forward(model, [1, 2, 3], se_setting(), cache={})
+
+
+class TestGraphSize:
+    def test_one_attention_node_per_attention_layer(self, monkeypatch):
+        import spanattn.attention as attention_mod
+
+        monkeypatch.setattr(attention_mod, "FULL_TILE", 4)
+        calls = []
+        fused = attention_mod.multi_head_attention
+
+        def spy(*args, **kw):
+            calls.append(kw["rows"].shape[0])
+            return fused(*args, **kw)
+
+        monkeypatch.setattr(attention_mod, "multi_head_attention", spy)
+        model = HybridModel(tiny_config(layers=4))
+        model_forward(model, np.arange(30) % 32, full_setting())
+        assert calls == [8] * sum(kind == "attn" for kind in model.config.layer_kinds())  # 8 tiles, one call
+
+    def test_an_se_adaptation_step_at_2048_builds_358_nodes(self, monkeypatch):
+        import spanattn.model as model_mod
+        from spanattn.adaptation import AdapterPolicy, apply_policy
+
+        model = HybridModel(ModelConfig(layers=4, d=64, d_model=64, heads=4, blend_ratio=1, vocab=258, seed=0))
+        apply_policy(model, AdapterPolicy("hylora", rank=32, alpha=64.0), seed=0)
+        setting = AttentionSetting(kind="se", se_cfg=SEAttnConfig(chunk_sizes=(16, 32), seed=0))
+        counts = []
+        replay = model_mod.backward
+
+        def counting(loss):
+            counts.append(replay(loss))
+            return counts[-1]
+
+        monkeypatch.setattr(model_mod, "backward", counting)
+        batch = np.random.default_rng(25).integers(0, 258, size=(4, 2049))
+        train_step(model, batch, AdamW(model.trainable_parameters(), lr=2e-4), setting)
+        assert counts == [358]

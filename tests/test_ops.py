@@ -109,6 +109,17 @@ class TestRope:
         with pytest.raises(ConfigError):
             rope_embed(Tensor(np.zeros((2, 3))), [0.0, 1.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_integer_ranges_read_the_cached_table_bit_for_bit(self, dtype):
+        # a short range first, so that later ranges grow the table; then starts inside and past it
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((700, 16)).astype(dtype)
+        for start, n in [(0, 3), (0, 700), (1, 1), (699, 1), (5, 64), (3, 600), (640, 60)]:
+            for base, scale in ((10000.0, 1.0), (500.0, 2.5)):
+                got = rope_embed(Tensor(x[:n]), range(start, start + n), base=base, pos_scale=scale).data
+                want = rope_embed(Tensor(x[:n]), np.arange(start, start + n, dtype=np.float64), base=base, pos_scale=scale)
+                np.testing.assert_array_equal(got, want.data)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         x_data = rng.standard_normal((4, 6))
@@ -333,6 +344,18 @@ class TestNormSigmoidEmbedding:
 
         fd = central_diff(loss_fn, x.data)
         assert max_rel_err(x.grad, fd) < 1e-6
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_sigmoid_against_a_float64_reference(self, dtype, tol):
+        x_data = np.linspace(-100.0, 100.0, 40001)
+        want = 1.0 / (1.0 + np.exp(-x_data))
+        x = Tensor(x_data.astype(dtype), requires_grad=True)
+        with np.errstate(all="raise"):
+            out = sigmoid(x)
+            backward(sum_all(out))
+        assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
+        assert np.max(np.abs(out.data - want)) < tol
+        assert np.max(np.abs(x.grad - want * (1.0 - want))) < tol
 
     def test_embedding_lookup_and_scatter_gradient(self):
         table_data = np.arange(12, dtype=np.float64).reshape(4, 3)
