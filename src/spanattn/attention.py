@@ -287,13 +287,13 @@ def project_with_cache(x, p, cache, keep=None):
     ``cache`` is a dict, empty before the first call. It holds the absolute
     position of the next row and the rotated K/V rows kept so far
     (constants: no gradient flows into them), ``cache["k"]`` and
-    ``cache["v"]``, views of preallocated buffers that double when full.
-    The returned K/V are the kept rows followed by the new ones, written
-    into those buffers and read as a view of them, which the next call may
-    overwrite. The cache then keeps the last ``keep`` of them (all when
-    None); once a bounded cache reaches the end of its buffers, its kept rows
-    move to the front. The first call returns the new rows themselves. With
-    ``cache=None`` this is ``project_qkv(x, p)``.
+    ``cache["v"]``, views of preallocated buffers. The returned K/V are the
+    kept rows followed by the new ones, written into those buffers and read
+    as a view of them. The cache then keeps the last ``keep`` of them (all
+    when None). When the new rows do not fit, the kept rows move to fresh
+    buffers of twice the rows then needed, so a buffer row is written once
+    and an earlier call's K/V never change. The first call returns the new
+    rows themselves. With ``cache=None`` this is ``project_qkv(x, p)``.
     """
     if cache is None:
         return project_qkv(x, p)
@@ -302,15 +302,11 @@ def project_with_cache(x, p, cache, keep=None):
     m = x.shape[0]
     lo, hi = cache.get("rows", (0, 0))
     if hi > lo:
-        size = len(cache["k_buffer"])
-        if hi + m > size:  # move the kept rows to the front, of buffers doubled until the new rows fit
-            while hi - lo + m > size:
-                size *= 2
+        if hi + m > len(cache["k_buffer"]):  # the kept rows move to fresh buffers twice the size now needed
             for name in ("k_buffer", "v_buffer"):
                 old = cache[name]
-                new = old if size == len(old) else np.empty((size, old.shape[1]), dtype=old.dtype)
-                new[: hi - lo] = old[lo:hi]
-                cache[name] = new
+                cache[name] = np.empty((2 * (hi - lo + m), old.shape[1]), dtype=old.dtype)
+                cache[name][: hi - lo] = old[lo:hi]
             lo, hi = 0, hi - lo
         k, v = (_append_rows(cache[name], lo, hi, t) for name, t in (("k_buffer", k), ("v_buffer", v)))
         hi += m

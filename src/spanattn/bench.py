@@ -3,8 +3,9 @@
 One profiled step = forward + backward + optimizer update of a single
 attention layer on a random sequence, which keeps the scaling signal clean
 of unrelated model costs. Timing uses the median over >= 5 repetitions,
-each after a warm-up step of its own point and interleaved across a grid's
-points; the measured region is pinned to one thread of the loaded
+interleaved across a grid's points, each timed step right after a step of
+its own point (warm-up steps when the grid has just switched to it); the
+measured region is pinned to one thread of the loaded
 OpenBLAS, set and confirmed through its own C API. Peak memory is sampled
 with tracemalloc (numpy buffers are traced) in a separate pass so the
 instrumentation never pollutes the timings.
@@ -180,7 +181,8 @@ def _make_step(variant, L, d, d_model, heads, M, S, k, window, seed):
 
 def profile_step(variant, L, d=32, d_model=32, heads=1, M=128, S=32, k=4, window=1024,
                  reps=5, warmup=1, seed=0, measure_memory=True):
-    """Median/min/max wall time of one training step plus its peak heap bytes.
+    """Median/min/max wall time of one training step plus its peak heap bytes,
+    timed over ``reps`` steps back to back after ``warmup`` untimed ones.
 
     Out-of-memory shows up as a capped record (NaN timings, -1 bytes)
     rather than an exception.
@@ -195,9 +197,11 @@ def run_profile_grid(variants, lengths, d=32, d_model=32, heads=1, M=128, S=32, 
 
     The repetitions run round-robin across the points, so a slow spell of
     the host spreads over every point instead of bending one variant's
-    slope. Each timed step follows ``warmup`` untimed steps of its own
-    point, so it runs on warm caches, as it would back to back, and not on
-    what the previous point left. Peak memory is then sampled point by point.
+    slope. A timed step always follows a step of its own point: the
+    ``warmup`` untimed ones whenever the grid has just moved to this point,
+    so it runs on warm caches, as back to back, and not on what the previous
+    point left. A grid of one point therefore warms up once and times its
+    repetitions back to back. Peak memory is then sampled point by point.
     """
     if reps < 5:
         raise ConfigError("profile records need at least 5 repetitions")
@@ -206,18 +210,26 @@ def run_profile_grid(variants, lengths, d=32, d_model=32, heads=1, M=128, S=32, 
         pt: analytic_cost(CostModelInput(variant=pt[0], L=pt[1], M=M, S=S, k=k, d_model=d_model, window=window))
         for pt in points
     }
-    steps, times, nodes, peaks = {}, {pt: [] for pt in points}, {}, {}
+    steps, times, nodes, peaks, done = {}, {pt: [] for pt in points}, {}, {}, dict.fromkeys(points, 0)
     for pt in points:
         with suppress(MemoryError):
             steps[pt] = _make_step(*pt, d, d_model, heads, M, S, k, window, seed)
+
+    def run(pt):
+        done[pt] += 1
+        return steps[pt](done[pt] - 1)
+
+    last = None
     with _single_thread_region():
-        for i in range(reps):
+        for _ in range(reps):
             for pt in list(steps):
                 try:
-                    for j in range(warmup):
-                        steps[pt](i * (warmup + 1) + j)
+                    if pt != last:
+                        for _ in range(warmup):
+                            run(pt)
+                        last = pt
                     t0 = time.perf_counter()
-                    nodes[pt] = steps[pt](i * (warmup + 1) + warmup)
+                    nodes[pt] = run(pt)
                     times[pt].append(time.perf_counter() - t0)
                 except MemoryError:
                     del steps[pt]
@@ -225,7 +237,7 @@ def run_profile_grid(variants, lengths, d=32, d_model=32, heads=1, M=128, S=32, 
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            steps[pt](reps * (warmup + 1))
+            run(pt)
             peaks[pt] = tracemalloc.get_traced_memory()[1]
         except MemoryError:
             del steps[pt]

@@ -12,6 +12,7 @@ from spanattn.attention import (
     full_attention,
     masked_oracle_attention,
     project_qkv,
+    project_with_cache,
     sliding_window_attention,
 )
 from spanattn.errors import ConfigError, UsageError
@@ -438,7 +439,17 @@ def test_mixed_key_counts_match_a_per_chunk_loop():
     np.testing.assert_allclose(fused[0], want, rtol=1e-12, atol=1e-12)
 
 
-def test_tiled_full_attention_is_one_node(small_tile):
-    p = AttentionParams.random(4, 8, head_count=2, seed=52, dtype=np.float64, requires_grad=True)
-    counts = [backward(sum_all(full_attention(make_x(length, seed=52), p))) for length in (TILE - 1, 10 * TILE + 1)]
-    assert counts[0] == counts[1]
+@pytest.mark.parametrize("keep", [None, 0, 1, 3])
+def test_cached_k_v_of_earlier_steps_stay_unchanged(keep):
+    # feeds of 1 to 5 rows fill, grow and (when bounded) compact the buffers many times over
+    p = make_params(seed=53)
+    x = make_x(120, seed=53).data
+    cache, returned, pos = {}, [], 0
+    for n in [2, *([1, 5, 3, 1, 2] * 8)]:
+        _, k, v = project_with_cache(Tensor(x[pos : pos + n]), p, cache, keep=keep)
+        returned += [(a, a.copy()) for a in (k.data, v.data, cache["k"], cache["v"])]
+        pos += n
+    for a, then in returned:
+        np.testing.assert_array_equal(a, then)
+    want = project_qkv(Tensor(x[:pos]), p)[1].data[pos - (pos if keep is None else keep) :]
+    np.testing.assert_allclose(cache["k"], want, rtol=1e-12, atol=1e-12)
