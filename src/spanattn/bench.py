@@ -24,19 +24,17 @@ import numpy as np
 
 from .attention import AttentionParams
 from .errors import ConfigError
-from .model import AdamW, AttentionSetting
+from .model import AdamW, AttentionSetting, variant_kind
 from .tensor import Tensor, backward, mul, sum_all
 
 PROFILE_CSV_FIELDS = (
     "variant", "L", "M", "S", "k", "median_s", "min_s", "max_s", "peak_bytes", "analytic_ops", "graph_nodes",
 )
 
-VARIANT_NAMES = ("full", "sw", "nomem", "se")
-
 
 @dataclass
 class CostModelInput:
-    variant: str
+    variant: str  # an ``ATTENTION_VARIANTS`` name
     L: int
     M: int = 0
     S: int = 0
@@ -45,13 +43,12 @@ class CostModelInput:
     window: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANT_NAMES:
-            raise ConfigError(f"unknown variant {self.variant!r}")
+        kind, _ = variant_kind(self.variant)
         if self.L < 1 or self.d_model < 1:
             raise ConfigError("L and d_model must be positive")
-        if self.variant in ("se", "nomem") and (self.M < 1 or self.S < 1):
+        if kind == "se" and (self.M < 1 or self.S < 1):
             raise ConfigError("chunked variants need M and S")
-        if self.variant == "sw" and self.window < 1:
+        if kind == "sw" and self.window < 1:
             raise ConfigError("sw needs a window")
 
 
@@ -67,14 +64,16 @@ def analytic_cost(inp):
 
     The span-expanded cost is the sum of its three stages: block
     summarization d*L*S, relevancy scoring d*L^2/S, and chunk attention
-    d*L*M.
+    d*L*M. Every SE variant but nomem costs the same; nomem, which
+    retrieves nothing, costs chunk attention alone.
     """
     d, L = float(inp.d_model), float(inp.L)
-    if inp.variant == "full":
+    kind, se_variant = variant_kind(inp.variant)
+    if kind == "full":
         return CostEstimate(ops=d * L * L)
-    if inp.variant == "sw":
+    if kind == "sw":
         return CostEstimate(ops=d * L * min(inp.window, inp.L))
-    if inp.variant == "nomem":
+    if se_variant == "nomem":
         return CostEstimate(ops=d * L * inp.M)
     ops = d * (L * inp.S + L * inp.M + L * L / inp.S)
     bound_ok = inp.S * inp.k <= inp.M

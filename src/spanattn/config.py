@@ -11,10 +11,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass, field
 
-from .bench import VARIANT_NAMES as _BENCH_VARIANTS
 from .errors import ConfigError
 from .evalgen import GENERATED_TASKS as _TASK_NAMES
-from .model import ATTENTION_VARIANTS, AttentionSetting, ModelConfig
+from .model import ATTENTION_VARIANTS, AttentionSetting, ModelConfig, variant_kind
 from .vocab import VOCAB_SIZE
 
 POLICY_NAMES = ("none", "lora", "lora_plus", "hylora")
@@ -188,7 +187,7 @@ SCHEMA = {
     "eval.context_lengths": _parse_int_list,
     "eval.n_instances": int,
     "eval.ppl_stream_len": int,
-    "bench.variants": _str_list_choice(_BENCH_VARIANTS),
+    "bench.variants": _str_list_choice(ATTENTION_VARIANTS),
     "bench.lengths": _parse_int_list,
     "bench.reps": int,
     "paths.checkpoint": str,
@@ -239,6 +238,8 @@ def _cross_validate(cfg, origin):
     try:
         model_cfg = cfg.model_config()
         setting = cfg.attention_setting()
+        for name in cfg.bench.variants:
+            variant_kind(name)
     except ConfigError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
     if setting.kind == "se" and model_cfg.layer_kinds().count("attn") == 0:

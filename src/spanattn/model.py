@@ -74,6 +74,18 @@ ATTENTION_VARIANTS = {
 }
 
 
+def variant_kind(name):
+    """(attention kind, SE-Attn variant) of an ``ATTENTION_VARIANTS`` name; ConfigError for any other name or s2."""
+    if name not in ATTENTION_VARIANTS:
+        raise ConfigError(f"unknown attention variant {name!r}")
+    if ATTENTION_VARIANTS[name] is None:
+        available = ", ".join(n for n, v in ATTENTION_VARIANTS.items() if v is not None)
+        raise ConfigError(
+            f"the shifted-sparse attention baseline is not available in this package; choose one of {available}"
+        )
+    return ATTENTION_VARIANTS[name]
+
+
 @dataclass
 class AttentionSetting:
     """Which attention variant the model's attention blocks run."""
@@ -93,14 +105,7 @@ class AttentionSetting:
     @classmethod
     def named(cls, name, *, window, chunk_sizes, block_size, top_k, seed):
         """The setting of an ``ATTENTION_VARIANTS`` name; only the arguments its kind uses are read."""
-        if name not in ATTENTION_VARIANTS:
-            raise ConfigError(f"unknown attention variant {name!r}")
-        if ATTENTION_VARIANTS[name] is None:
-            available = ", ".join(n for n, v in ATTENTION_VARIANTS.items() if v is not None)
-            raise ConfigError(
-                f"the shifted-sparse attention baseline is not available in this package; choose one of {available}"
-            )
-        kind, se_variant = ATTENTION_VARIANTS[name]
+        kind, se_variant = variant_kind(name)
         if kind != "se":
             return cls(kind, window=window if kind == "sw" else 0)
         se_cfg = SEAttnConfig(chunk_sizes, memory_block_size=block_size, top_k=top_k, variant=se_variant, seed=seed)
@@ -159,7 +164,8 @@ class SSMLayer:
         if cache is not None:
             history = cache.get("conv", np.zeros((self.conv_kernel.shape[0] - 1, e), dtype=x.dtype))
             h0 = cache.get("h")
-            cache["conv"] = np.concatenate([history, u.data])[u.shape[0] :]
+            length = u.shape[0]  # the new tail is the last w - 1 rows of history then u, copied alone
+            cache["conv"] = np.concatenate([history[length:], u.data[max(length - len(history), 0) :]])
         u = causal_conv1d(u, self.conv_kernel, self.conv_bias, max_width=self.conv_max_width, history=history)
         decay = sigmoid(self.decay_logit)
         state = linear_recurrence(u, decay, self.input_gain, h0=h0)

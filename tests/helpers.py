@@ -114,3 +114,15 @@ def naive_retrieval(q, k, v, block_size, chunk_size, top_k, d_model, landmark=No
         ranked = sorted(past, key=lambda j: (-(q_sum @ summaries[j]), j))
         selected.append(sorted(ranked[:top_k]))
     return selected
+
+
+def linear_recurrence_naive(u, a, b, h0=None):
+    """h_t = a * h_{t-1} + b * u_t from h0 (or 0), one float64 step per row."""
+    u = np.asarray(u, dtype=np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    h = np.zeros(u.shape[1]) if h0 is None else np.asarray(h0, dtype=np.float64).copy()
+    out = np.empty_like(u)
+    for t in range(u.shape[0]):
+        h = a * h + b * u[t]
+        out[t] = h
+    return out

@@ -54,9 +54,25 @@ def test_other_variant_costs():
     assert analytic_cost(CostModelInput(variant="nomem", L=100, M=20, S=10, d_model=7)).ops == 7 * 100 * 20
 
 
+def test_every_se_variant_but_nomem_costs_as_se():
+    se = analytic_cost(CostModelInput(variant="se", L=512, M=64, S=16, k=4, d_model=8)).ops
+    for name in ("se-random", "se-lm"):
+        assert analytic_cost(CostModelInput(variant=name, L=512, M=64, S=16, k=4, d_model=8)).ops == se
+    assert analytic_cost(CostModelInput(variant="nomem", L=512, M=64, S=16, k=4, d_model=8)).ops == 8 * 512 * 64
+
+
+def test_random_and_landmark_retrieval_profile():
+    records = run_profile_grid(["se-random", "se-lm"], [64], d=8, d_model=8, M=16, S=8, k=2, reps=5,
+                               measure_memory=False)
+    assert [r.variant for r in records] == ["se-random", "se-lm"]
+    assert all(r.graph_nodes > 0 and r.median_s > 0.0 for r in records)
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ConfigError):
         CostModelInput(variant="flash", L=128)
+    with pytest.raises(ConfigError, match="not available"):
+        CostModelInput(variant="s2", L=128)
     with pytest.raises(ConfigError):
         CostModelInput(variant="se", L=128, M=0, S=32)
     with pytest.raises(ConfigError):

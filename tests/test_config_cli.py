@@ -74,6 +74,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="attention layer"):
             parse_config_text("model.layers = 2\nmodel.blend_ratio = 3\nattention.variant = se\n")
 
+    def test_bench_takes_every_available_variant(self):
+        cfg = parse_config_text("bench.variants = se-random,se-lm\n")
+        assert cfg.bench.variants == ("se-random", "se-lm")
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("# header\nmodel.d = 24  # trailing\n\n")
         assert cfg.model.d == 24
@@ -310,6 +314,12 @@ class TestCLIEvalGenBenchTrace:
 
         pinned = _openblas_threads() is not None
         assert info["blas_threads"] == (1 if pinned else None) and info["blas_pinned"] is pinned
+
+    @pytest.mark.parametrize("name, message", [("flash", "bench.variants"), ("s2", "not available")])
+    def test_bench_with_an_unknown_or_unavailable_variant_exits_one(self, tmp_path, capsys, name, message):
+        cfg = write_config(tmp_path, TINY_TRAIN.replace("bench.variants = full,se", f"bench.variants = se,{name}"))
+        assert main(["bench", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_trace_round_trips_mask(self, tmp_path):
         cfg = write_config(tmp_path)

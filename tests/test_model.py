@@ -22,7 +22,7 @@ from spanattn.model import (
     save_checkpoint,
     train_step,
 )
-from spanattn.ops import cross_entropy_logits
+from spanattn.ops import SCAN_BLOCK, cross_entropy_logits
 from spanattn.se_attn import SEAttnConfig
 from spanattn.tensor import Tensor, backward
 
@@ -374,6 +374,26 @@ class TestCachedDecoding:
                 worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
                 pos += n
         assert worst < DECODE_TOL[dtype]
+
+    @pytest.mark.parametrize("kind", ["full", "sw"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_prompt_across_scan_blocks_then_cached_steps_match_a_re_forward(self, kind, dtype):
+        prompt_len = 2 * SCAN_BLOCK + 5  # the prefill's recurrence runs in three blocks
+        model = HybridModel(tiny_config(layers=4, dtype=dtype, seed=4))
+        setting = DECODE_SETTINGS[kind]
+        tokens = np.random.default_rng(26).integers(0, 32, size=prompt_len + 12)
+        cache = {}
+        model_forward(model, tokens[:prompt_len], setting, cache=cache)
+        pos, worst = prompt_len, 0.0
+        for n in (1, 3, 1, 3, 1, 3):
+            got = model_forward(model, tokens[pos : pos + n], setting, cache=cache).data
+            want = model_forward(model, tokens[: pos + n], setting).data[pos:]
+            worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+            pos += n
+        assert worst < DECODE_TOL[dtype]
+        prompt = tokens[:prompt_len]
+        want = reforward_generate(model, prompt, setting, max_new_tokens=8, stop_id=3)
+        assert greedy_generate(model, prompt, setting, max_new_tokens=8, stop_id=3) == want
 
     @pytest.mark.parametrize("kind", ["full", "sw"])
     def test_greedy_generate_emits_the_re_forward_tokens(self, kind):

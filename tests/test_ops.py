@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from helpers import central_diff, max_rel_err
+from helpers import central_diff, linear_recurrence_naive, max_rel_err
 
 from spanattn.errors import ConfigError, ShapeError
 from spanattn.ops import (
+    SCAN_BLOCK,
     causal_conv1d,
     cross_entropy_logits,
     embedding_lookup,
@@ -310,6 +311,103 @@ class TestLinearRecurrence:
     def test_start_state_shape_checked(self):
         with pytest.raises(ShapeError):
             linear_recurrence(Tensor(np.zeros((3, 2))), Tensor(np.ones(2)), Tensor(np.ones(2)), h0=np.zeros(3))
+
+
+T = SCAN_BLOCK
+
+
+def _scale_err(got, want):
+    """Largest error relative to the largest reference entry: a recurrence's
+    entries pass near zero, where an elementwise ratio says nothing."""
+    want = np.asarray(want, dtype=np.float64)
+    return float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want)) / np.max(np.abs(want)))
+
+
+def _recurrence_case(length, width, seed, dtype=np.float64, lo=0.2, hi=0.999):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((length, width)).astype(dtype)
+    a = rng.uniform(lo, hi, size=width).astype(dtype)
+    b = rng.standard_normal(width).astype(dtype)
+    h0 = rng.standard_normal(width).astype(dtype)
+    return u, a, b, h0
+
+
+class TestBlockedScan:
+    """``linear_recurrence`` over lengths that cross ``SCAN_BLOCK`` boundaries."""
+
+    @pytest.mark.parametrize("length", [1, T - 1, T, T + 1, 3 * T + 5, 2047])
+    @pytest.mark.parametrize("with_h0", [False, True])
+    def test_float64_matches_the_naive_loop(self, length, with_h0):
+        u, a, b, h0 = _recurrence_case(length, 8, seed=length)
+        h0 = h0 if with_h0 else None
+        got = linear_recurrence(Tensor(u), Tensor(a), Tensor(b), h0=h0).data
+        assert _scale_err(got, linear_recurrence_naive(u, a, b, h0)) < 1e-12
+
+    @pytest.mark.parametrize("length", [1, 2, T - 1, T])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_block_is_the_sequential_loop_bit_for_bit(self, length, dtype):
+        u_data, a_data, b_data, h0 = _recurrence_case(length, 6, seed=40 + length, dtype=dtype)
+        coef = np.random.default_rng(41).standard_normal((length, 6)).astype(dtype)
+        u, a, b = (Tensor(v.copy(), requires_grad=True) for v in (u_data, a_data, b_data))
+        out = linear_recurrence(u, a, b, h0=h0)
+        backward(sum_all(mul(out, Tensor(coef))))
+        # the sequential loop and its adjoint, in the working dtype and in that order
+        hs, h = np.empty_like(u_data), h0
+        for t in range(length):
+            h = a_data * h + b_data * u_data[t]
+            hs[t] = h
+        lam, nxt = np.empty_like(u_data), np.zeros_like(h0)
+        for t in range(length - 1, -1, -1):
+            nxt = coef[t] + a_data * nxt
+            lam[t] = nxt
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, hs)
+        np.testing.assert_array_equal(u.grad, b_data * lam)
+        np.testing.assert_array_equal(a.grad, (lam * np.vstack([h0, hs[:-1]])).sum(axis=0))
+        np.testing.assert_array_equal(b.grad, (lam * u_data).sum(axis=0))
+
+    @pytest.mark.parametrize("with_h0", [False, True])
+    def test_gradients_across_blocks_match_finite_differences(self, with_h0):
+        length = 2 * T + 3
+        u_data, a_data, b_data, h0 = _recurrence_case(length, 3, seed=42, lo=0.5, hi=0.99)
+        h0 = h0 if with_h0 else None
+        coef = np.random.default_rng(43).standard_normal((length, 3))
+        u, a, b = (Tensor(v.copy(), requires_grad=True) for v in (u_data, a_data, b_data))
+        backward(sum_all(mul(linear_recurrence(u, a, b, h0=h0), Tensor(coef))))
+
+        def loss_fn():
+            return float((linear_recurrence_naive(u_data, a_data, b_data, h0) * coef).sum())
+
+        assert max_rel_err(u.grad, central_diff(loss_fn, u_data)) < 1e-6
+        assert max_rel_err(a.grad, central_diff(loss_fn, a_data)) < 1e-6
+        assert max_rel_err(b.grad, central_diff(loss_fn, b_data)) < 1e-6
+
+    @pytest.mark.parametrize("split", [T - 1, T, T + 1, 2 * T])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_a_split_run_continues_through_the_start_state(self, split, dtype, tol):
+        u, a, b, _ = _recurrence_case(3 * T + 5, 8, seed=44, dtype=dtype)
+        a, b = Tensor(a), Tensor(b)
+        whole = linear_recurrence(Tensor(u), a, b).data
+        first = linear_recurrence(Tensor(u[:split]), a, b).data
+        rest = linear_recurrence(Tensor(u[split:]), a, b, h0=first[-1]).data
+        assert _scale_err(np.vstack([first, rest]), whole) < tol
+
+    @pytest.mark.parametrize("decay", [0.0, 1e-3, 0.999, 1.0])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_extreme_decays_stay_finite_and_accurate(self, decay, dtype, tol):
+        u, _, b, h0 = _recurrence_case(2047, 4, seed=45, dtype=dtype)
+        a = np.full(4, decay, dtype=dtype)
+        got = linear_recurrence(Tensor(u), Tensor(a), Tensor(b), h0=h0).data
+        assert np.all(np.isfinite(got))
+        assert _scale_err(got, linear_recurrence_naive(u, a, b, h0)) < tol
+
+    def test_a_long_scan_is_one_graph_node(self):
+        def nodes(length):
+            u, a, b, _ = _recurrence_case(length, 4, seed=46)
+            u, a, b = (Tensor(v, requires_grad=True) for v in (u, a, b))
+            return backward(sum_all(linear_recurrence(u, a, b)))
+
+        assert nodes(2047) == nodes(5)
 
 
 class TestNormSigmoidEmbedding:
